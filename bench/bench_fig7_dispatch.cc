@@ -5,19 +5,20 @@
 // dispatch mode the planner consequently selects.
 //
 // Besides the analytic table, a MEASURED section times the real fused EP
-// dispatch/combine pipeline (src/parallel/ep_ffn with the pipeline
-// enabled) against the blocking reference path on the thread-rank
-// substrate, across chunk counts and worker counts. The Communicator's
+// dispatch/combine pipeline (src/parallel/ep_ffn) at several chunk counts
+// against the same pipeline at one chunk — no overlap: the whole dispatch
+// lands before any expert GEMM runs, and the whole combine leaves after —
+// on the thread-rank substrate, across worker counts. The Communicator's
 // emulated wire clock is calibrated from the measured wire_bytes of one
-// blocking step so comm ~= comp (the regime where the §4.2 overlap pays);
-// the pipelined path's expert GEMMs and chunk packing then genuinely
+// one-chunk step so comm ~= comp (the regime where the §4.2 overlap pays);
+// the chunked pipeline's expert GEMMs and chunk packing then genuinely
 // overlap the emulated dispatch/combine transfers. Results go to
 // BENCH_fig7.json: the analytic per-top-k rows as before, plus a
-// "measured" object with the overlap sweep.
+// "measured" object with the overlap sweep ("baseline": "pipelined_c1").
 //
 // With --check, runs only the measured sweep and exits non-zero unless
-// (a) every pipelined output is bitwise equal to the blocking reference,
-// (b) the pipelined path beats the blocking path by >= 1.3x at the best
+// (a) every chunked output is bitwise equal to the one-chunk output at the
+// same worker count, (b) chunking beats one chunk by >= 1.3x at the best
 // point, and (c) the steady-state dispatch path performs zero heap (pool-
 // miss) allocations — the Release-mode dispatch smoke of tools/check.sh.
 #include <algorithm>
@@ -61,16 +62,16 @@ constexpr double kWireLatencyUs = 5.0;
 struct MeasuredPoint {
   int workers = 0;
   int chunks = 0;
-  double blocking_ms = 0.0;
+  double c1_ms = 0.0;         // one-chunk baseline at the same worker count
   double pipelined_ms = 0.0;
   double speedup = 0.0;
   bool bitwise_equal = false;
-  TimingStats blocking_stats;   // p10/p90 spread + rep count behind blocking_ms
+  TimingStats c1_stats;         // p10/p90 spread + rep count behind c1_ms
   TimingStats pipelined_stats;  // ... and behind pipelined_ms
 };
 
 struct MeasuredReport {
-  double comp_ms = 0.0;       // blocking step wall time with the wire model off
+  double comp_ms = 0.0;       // one-chunk step wall time with the wire model off
   TimingStats comp_stats;     // spread behind comp_ms
   double wire_ms = 0.0;       // modeled wire occupancy of one step after calibration
   uint64_t step_wire_bytes = 0;
@@ -117,7 +118,7 @@ MeasuredReport RunMeasured() {
   }
 
   FlatCommunicator comm(kRanks);
-  std::vector<Tensor> y_blocking(kRanks);
+  std::vector<Tensor> y_c1(kRanks);
   std::vector<Tensor> y_pipelined(kRanks);
   std::vector<EpFfnCache> caches(kRanks);  // reused: steady-state pool hits
 
@@ -131,9 +132,8 @@ MeasuredReport RunMeasured() {
           &caches[static_cast<size_t>(rank)]);
     });
   };
-  auto set_pipeline = [&](bool enabled, int chunks) {
+  auto set_chunks = [&](int chunks) {
     EpPipelineConfig pipe;
-    pipe.enabled = enabled;
     pipe.num_chunks = chunks;
     SetEpPipelineConfig(pipe);
   };
@@ -141,15 +141,15 @@ MeasuredReport RunMeasured() {
   MeasuredReport report;
 
   // Calibrate the emulated wire so one step's total all-to-all traffic
-  // costs about one compute phase (comm ~= comp): measure a blocking step
+  // costs about one compute phase (comm ~= comp): measure a one-chunk step
   // with the wire model off, read the step's wire bytes off the
   // communicator, and size bytes/us so that volume takes that long.
-  set_pipeline(false, 1);
-  report.comp_stats = TimedStatsOfN(kWarmup, kReps, [&] { run_step(&y_blocking); });
+  set_chunks(1);
+  report.comp_stats = TimedStatsOfN(kWarmup, kReps, [&] { run_step(&y_c1); });
   const double comp_s = report.comp_stats.median_s;
   report.comp_ms = comp_s * 1e3;
   const uint64_t bytes_before = comm.wire_bytes();
-  run_step(&y_blocking);
+  run_step(&y_c1);
   report.step_wire_bytes = comm.wire_bytes() - bytes_before;
   const double target_us = std::max(comp_s * 1e6, 100.0);
   const double bytes_per_us = static_cast<double>(report.step_wire_bytes) / target_us;
@@ -160,26 +160,25 @@ MeasuredReport RunMeasured() {
   const int64_t out_elems = kTokensLocal * kHidden;
   for (int workers : {1, 2}) {
     SetParallelWorkerCount(workers);
-    set_pipeline(false, 1);
-    const TimingStats blocking_stats =
-        TimedStatsOfN(kWarmup, kReps, [&] { run_step(&y_blocking); });
+    set_chunks(1);
+    const TimingStats c1_stats = TimedStatsOfN(kWarmup, kReps, [&] { run_step(&y_c1); });
     for (int chunks : {2, 4, 8}) {
       MeasuredPoint point;
       point.workers = workers;
       point.chunks = chunks;
-      point.blocking_stats = blocking_stats;
-      point.blocking_ms = blocking_stats.median_s * 1e3;
-      set_pipeline(true, chunks);
+      point.c1_stats = c1_stats;
+      point.c1_ms = c1_stats.median_s * 1e3;
+      set_chunks(chunks);
       point.pipelined_stats =
           TimedStatsOfN(kWarmup, kReps, [&] { run_step(&y_pipelined); });
       point.pipelined_ms = point.pipelined_stats.median_s * 1e3;
-      point.speedup = point.blocking_ms / point.pipelined_ms;
+      point.speedup = point.c1_ms / point.pipelined_ms;
       point.bitwise_equal = true;
       for (int rank = 0; rank < kRanks; ++rank) {
         point.bitwise_equal =
             point.bitwise_equal &&
             std::memcmp(y_pipelined[static_cast<size_t>(rank)].data(),
-                        y_blocking[static_cast<size_t>(rank)].data(),
+                        y_c1[static_cast<size_t>(rank)].data(),
                         static_cast<size_t>(out_elems) * sizeof(float)) == 0;
       }
       report.all_bitwise = report.all_bitwise && point.bitwise_equal;
@@ -190,7 +189,7 @@ MeasuredReport RunMeasured() {
 
   // Zero-alloc gate: after warmup, steady-state pipelined steps must be
   // all pool hits — no fresh heap allocations in the dispatch path.
-  set_pipeline(true, 4);
+  set_chunks(4);
   for (int i = 0; i < 3; ++i) {
     run_step(&y_pipelined);
   }
@@ -205,17 +204,17 @@ MeasuredReport RunMeasured() {
 }
 
 void PrintMeasured(const MeasuredReport& report) {
-  std::printf("\nMeasured pipelined vs blocking EP dispatch/combine (%d thread-ranks, "
+  std::printf("\nMeasured chunked vs one-chunk EP dispatch/combine (%d thread-ranks, "
               "%lld experts, %lld tokens/rank, h=%lld, top-%lld; emulated wire "
               "calibrated to comm ~= comp: comp %.1f ms, wire %.1f ms/step):\n",
               kRanks, static_cast<long long>(kExperts),
               static_cast<long long>(kTokensLocal), static_cast<long long>(kHidden),
               static_cast<long long>(kTopK), report.comp_ms, report.wire_ms);
-  TablePrinter table({"Workers", "Chunks", "Blocking (ms)", "Pipelined (ms)", "Speedup",
+  TablePrinter table({"Workers", "Chunks", "C=1 (ms)", "Pipelined (ms)", "Speedup",
                       "Bitwise"});
   for (const MeasuredPoint& point : report.points) {
     table.AddRow({std::to_string(point.workers), std::to_string(point.chunks),
-                  TablePrinter::Fmt(point.blocking_ms, 2),
+                  TablePrinter::Fmt(point.c1_ms, 2),
                   TablePrinter::Fmt(point.pipelined_ms, 2),
                   TablePrinter::Fmt(point.speedup, 2) + "x",
                   point.bitwise_equal ? "yes" : "NO"});
@@ -288,7 +287,7 @@ void WriteJson(const std::vector<AnalyticRow>& rows, const MeasuredReport* measu
     std::string comp_spread;
     AppendTimingSpreadJson(&comp_spread, "comp", measured->comp_stats);
     std::fprintf(json.get(),
-                 ",\"measured\":{\"ranks\":%d,\"experts\":%lld,\"tokens_local\":%lld,"
+                 ",\"measured\":{\"baseline\":\"pipelined_c1\",\"ranks\":%d,\"experts\":%lld,\"tokens_local\":%lld,"
                  "\"hidden\":%lld,\"top_k\":%lld,\"warmup\":%d,\"reps\":%d,"
                  "\"comp_ms\":%.3f,%s,\"wire_ms\":%.3f,\"step_wire_bytes\":%llu,"
                  "\"best_speedup\":%.3f,\"all_bitwise\":%s,"
@@ -304,13 +303,13 @@ void WriteJson(const std::vector<AnalyticRow>& rows, const MeasuredReport* measu
     for (size_t i = 0; i < measured->points.size(); ++i) {
       const MeasuredPoint& point = measured->points[i];
       std::string spread;
-      AppendTimingSpreadJson(&spread, "blocking", point.blocking_stats);
+      AppendTimingSpreadJson(&spread, "c1", point.c1_stats);
       spread += ", ";
       AppendTimingSpreadJson(&spread, "pipelined", point.pipelined_stats);
       std::fprintf(json.get(),
-                   "%s\n  {\"workers\":%d,\"chunks\":%d,\"blocking_ms\":%.3f,"
+                   "%s\n  {\"workers\":%d,\"chunks\":%d,\"c1_ms\":%.3f,"
                    "\"pipelined_ms\":%.3f,\"speedup\":%.3f,%s,\"bitwise\":%s}",
-                   i == 0 ? "" : ",", point.workers, point.chunks, point.blocking_ms,
+                   i == 0 ? "" : ",", point.workers, point.chunks, point.c1_ms,
                    point.pipelined_ms, point.speedup, spread.c_str(),
                    point.bitwise_equal ? "true" : "false");
     }
@@ -325,14 +324,14 @@ int CheckMode() {
   PrintMeasured(report);
   WriteJson(AnalyticRows(), &report);
   if (!report.all_bitwise) {
-    std::printf("\nPERF SMOKE FAILED: pipelined dispatch output not bitwise equal to "
-                "the blocking reference\n");
+    std::printf("\nPERF SMOKE FAILED: chunked dispatch output not bitwise equal to "
+                "the one-chunk output\n");
     return 1;
   }
   const MeasuredPoint* best = report.Best();
   if (best == nullptr || best->speedup < 1.3) {
     std::printf("\nPERF SMOKE FAILED: pipelined dispatch speedup %.2fx < 1.3x over "
-                "the blocking path (comm ~= comp)\n",
+                "one chunk (comm ~= comp)\n",
                 best != nullptr ? best->speedup : 0.0);
     return 1;
   }
@@ -342,7 +341,7 @@ int CheckMode() {
                 static_cast<unsigned long long>(report.steady_heap_allocs));
     return 1;
   }
-  std::printf("\ndispatch smoke ok: pipelined %.2fx over blocking (%d chunks, "
+  std::printf("\ndispatch smoke ok: pipelined %.2fx over one chunk (%d chunks, "
               "%d workers), bitwise identical, zero steady-state heap allocs\n",
               best->speedup, best->chunks, best->workers);
   return 0;

@@ -59,9 +59,9 @@ GemmCase RunGemmCase(const std::string& op, bool trans_a, bool trans_b, int64_t 
   Tensor c({m * n});
 
   GemmCase result{op, m, n, k, 0.0, 0.0, 0.0, {}};
-  result.naive_gflops = Gflops(m, n, k, MedianSecondsOfN(kWarmup, kReps, [&] {
+  result.naive_gflops = Gflops(m, n, k, TimedStatsOfN(kWarmup, kReps, [&] {
     GemmNaive(trans_a, trans_b, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data());
-  }));
+  }).median_s);
   const int restore_workers = ParallelWorkerCount();
   SetParallelWorkerCount(1);
   result.blocked_1w_stats = TimedStatsOfN(kWarmup, kReps, [&] {
@@ -69,9 +69,9 @@ GemmCase RunGemmCase(const std::string& op, bool trans_a, bool trans_b, int64_t 
   });
   result.blocked_1w_gflops = Gflops(m, n, k, result.blocked_1w_stats.median_s);
   SetParallelWorkerCount(4);
-  result.blocked_4w_gflops = Gflops(m, n, k, MedianSecondsOfN(kWarmup, kReps, [&] {
+  result.blocked_4w_gflops = Gflops(m, n, k, TimedStatsOfN(kWarmup, kReps, [&] {
     GemmBlocked(trans_a, trans_b, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data());
-  }));
+  }).median_s);
   SetParallelWorkerCount(restore_workers);
   std::printf("%-28s %5lld %5lld %5lld %10.2f %12.2f %12.2f %7.2fx %7.2fx\n",
               op.c_str(), static_cast<long long>(m), static_cast<long long>(n),
@@ -102,7 +102,7 @@ TimedCase RunGroupedGemmCase(std::vector<GemmCase>* gemm_rows) {
     offsets.push_back(rows * (e + 1) / experts);
   }
   Tensor y_naive({rows, f});
-  const double naive_s = MedianSecondsOfN(kWarmup, kReps, [&] {
+  const double naive_s = TimedStatsOfN(kWarmup, kReps, [&] {
     for (int64_t e = 0; e < experts; ++e) {
       const int64_t begin = offsets[static_cast<size_t>(e)];
       const int64_t r = offsets[static_cast<size_t>(e) + 1] - begin;
@@ -110,7 +110,7 @@ TimedCase RunGroupedGemmCase(std::vector<GemmCase>* gemm_rows) {
                 weights[static_cast<size_t>(e)].data(), 0.0f,
                 y_naive.data() + begin * f);
     }
-  });
+  }).median_s;
   const TimingStats blocked_stats = TimedStatsOfN(kWarmup, kReps, [&] {
     Tensor y = GroupedGemm(x, offsets, weights);
   });

@@ -65,12 +65,6 @@ TimingStats TimedStatsOfN(int warmup, int reps, Fn&& fn) {
   return stats;
 }
 
-// Median-only convenience over TimedStatsOfN (legacy callers).
-template <typename Fn>
-double MedianSecondsOfN(int warmup, int reps, Fn&& fn) {
-  return TimedStatsOfN(warmup, reps, static_cast<Fn&&>(fn)).median_s;
-}
-
 // Appends the distribution fields every BENCH_*.json block carries next to
 // its headline number: "p10_<label>_ms":..,"p90_<label>_ms":..,
 // "reps_<label>":N. The rep count is label-scoped so a block that reports

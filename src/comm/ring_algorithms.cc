@@ -63,7 +63,6 @@ void RingReduceScatter(CollectiveGroup& group, int rank, const float* send, floa
 }
 
 void RingAllReduce(CollectiveGroup& group, int rank, float* data, int64_t count) {
-  const int n = group.size();
   std::vector<float> reduced(static_cast<size_t>(count));
   RingReduceScatter(group, rank, data, reduced.data(), count);
   RingAllGather(group, rank, reduced.data(), data, count);

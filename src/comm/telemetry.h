@@ -89,7 +89,7 @@ struct DispatchEvent {
   int64_t rows_total = 0;    // rows dispatched to this rank this step
   int64_t rows_max = 0;      // hottest local expert's row count
   double imbalance = 1.0;    // rows_max / mean rows (1.0 when rows_total == 0)
-  int chunks = 1;            // wire chunks (1 = blocking reference path)
+  int chunks = 1;            // wire chunks (all-gather mode always 1)
   double start_us = 0.0;
   double duration_us = 0.0;
 };

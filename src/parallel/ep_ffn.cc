@@ -23,9 +23,9 @@ namespace {
 
 EpPipelineConfig g_pipeline_config;
 
-// Same expression as SwiGlu in tensor_ops.cc — the pipelined path applies
-// it per expert row range and must stay bitwise identical to the
-// whole-tensor call the blocking path makes.
+// Same expression as SwiGlu in tensor_ops.cc — the pipeline applies it per
+// expert row range and must stay bitwise identical to the whole-tensor call
+// the rematerialization and the single-rank reference make.
 inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 // Workspace-backed int64 scratch (tags are literals; buffers are grow-only
@@ -242,11 +242,10 @@ std::vector<int> AddScatterChain(ExecGraph* graph, const EpFfnCache& cache,
   return scatter_ids;
 }
 
-// The fused kAllToAll forward (§4.2, Fig 7). Bitwise identical to the
-// blocking reference: chunks partition the local token range in ascending
-// order so every per-destination send order, the grouped receive order,
-// and each token's combine accumulation order match the legacy path
-// exactly — only the schedule changes.
+// The fused kAllToAll forward (§4.2, Fig 7). Chunks partition the local
+// token range in ascending order, so every per-destination send order, the
+// grouped receive order and each token's combine accumulation order are the
+// same for every chunk count — only the schedule changes.
 Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
                            const EpPipelineConfig& pipe, const std::vector<Tensor>& w1,
                            const std::vector<Tensor>& w3, const std::vector<Tensor>& w2,
@@ -264,12 +263,11 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
   cache->fp8_wire = pipe.fp8_dispatch;
   cache->wire_quant = pipe.quant;
   cache->wire_quant.granularity = QuantGranularity::kPerToken;
-  cache->recv_to_sorted.clear();  // pipelined caches use chunk_to_sorted
 
   // --- Counting-sort permutation: one O(T·k) counting pass plus one
-  // cursor pass replace the legacy per-(dst, token) rescans. Send order is
-  // (chunk, dst, token asc, slot asc); per destination the concatenated
-  // chunks reproduce the legacy token-ascending order. ---
+  // cursor pass build the send tables. Send order is (chunk, dst, token
+  // asc, slot asc); per destination the concatenated chunks are token-
+  // ascending whatever the chunk count. ---
   const ChunkLayout tokens(t_local, C, /*quantum=*/1, /*pad_chunks=*/true);
   cache->send_chunk_counts.assign(static_cast<size_t>(C) * static_cast<size_t>(n), 0);
   const auto copy_dst = [&](int64_t idx) -> int {  // -1 = dropped copy
@@ -299,13 +297,6 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
     cache->send_chunk_base[static_cast<size_t>(c)] = seg_off[static_cast<int64_t>(c) * n];
   }
   const int64_t total_send = seg_off[num_segs];
-  cache->send_counts.assign(static_cast<size_t>(n), 0);
-  for (int c = 0; c < C; ++c) {
-    for (int d = 0; d < n; ++d) {
-      cache->send_counts[static_cast<size_t>(d)] +=
-          cache->send_chunk_counts[static_cast<size_t>(c * n + d)];
-    }
-  }
   cache->send_token.assign(static_cast<size_t>(total_send), 0);
   cache->send_slot.assign(static_cast<size_t>(total_send), 0);
   int64_t* send_expert = WsInts("ep.send_expert", total_send);
@@ -329,9 +320,9 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
   }
 
   // --- One metadata all-to-all: per destination the C per-chunk row
-  // counts followed by every row's expert id in send order. Replaces the
-  // legacy separate id exchange and lets the receiver build the full
-  // grouped permutation before any row data lands. ---
+  // counts followed by every row's expert id in send order. Lets the
+  // receiver build the full grouped permutation before any row data
+  // lands. ---
   int64_t* meta_send = WsInts("ep.meta_send", static_cast<int64_t>(n) * C + total_send);
   std::vector<int64_t> meta_counts(static_cast<size_t>(n));
   {
@@ -352,7 +343,7 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
       meta_counts[static_cast<size_t>(d)] = at - mark;
     }
   }
-  // Same uniform-t_local capacity assumption as the legacy id exchange.
+  // Capacity assumes every rank holds t_local tokens (uniform shards).
   int64_t* meta_recv = WsInts("ep.meta_recv", static_cast<int64_t>(n) * (C + t_local * k));
   std::vector<int64_t> meta_recv_counts;
   ctx.comm->AllToAllV(ctx.rank, meta_send, meta_counts, meta_recv, &meta_recv_counts);
@@ -362,10 +353,11 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
     return y_local;  // degraded group: match the collectives' zero-fill
   }
 
-  // --- Receiver tables. Legacy receive order is source-major; within one
-  // source, chunk-ascending equals token-ascending, so enumerating
-  // (src, chunk, row) reconstructs exactly the blocking path's receive
-  // order — the grouped row numbering is bitwise-compatible. ---
+  // --- Receiver tables. Grouped rows are numbered (expert, source rank,
+  // token): within one source, chunk-ascending equals token-ascending, so
+  // enumerating (src, chunk, row) yields the same numbering for every chunk
+  // count — each expert sees its rows in global token order, as in the
+  // single-rank reference. ---
   cache->recv_counts.assign(static_cast<size_t>(n), 0);
   cache->recv_chunk_counts.assign(static_cast<size_t>(C) * static_cast<size_t>(n), 0);
   int64_t* src_off = WsInts("ep.meta_src_off", n);
@@ -470,8 +462,8 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
   // combine_pack ops — all on the calling rank thread, in declared order,
   // identical on every rank — so the per-rank Start FIFO contract of
   // async_comm.h holds exactly as in eager code. Within a chunk the send
-  // order is (dst, token, slot), so each token's combine accumulation
-  // keeps the legacy (owner rank asc, slot asc) order — bitwise identical.
+  // order is (dst, token, slot), so each token's combine accumulation runs
+  // in (owner rank asc, slot asc) order for every chunk count.
   cache->ffn_in = Tensor::Uninit({total_recv, h});
   cache->fc1_out = Tensor::Uninit({total_recv, f});
   cache->fc3_out = Tensor::Uninit({total_recv, f});
@@ -674,7 +666,8 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
 
 // Backward of the fused pipeline: both wire directions run as per-chunk
 // handles on exec graphs (FP32 — only the forward dispatch optionally
-// quantizes). Accumulation orders match the legacy backward exactly.
+// quantizes). Accumulation orders match the forward's: dW rows in grouped
+// order, dx per token in (owner rank asc, slot asc) order.
 EpFfnGrads PipelinedBackwardA2A(const ShardContext& ctx, const ModelConfig& config,
                                 const std::vector<Tensor>& w1,
                                 const std::vector<Tensor>& w3,
@@ -868,136 +861,16 @@ Tensor EpFfnForward(const ShardContext& ctx, const ModelConfig& config, EpDispat
   const int64_t t_local = x_local.dim(0);
   const int64_t k = routing_local.top_k;
   MSMOE_CHECK_EQ(routing_local.tokens, t_local);
-  const double start_us = ctx.comm->telemetry().NowUs();
-
-  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
-  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
-  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
-
   if (mode == EpDispatchMode::kAllToAll) {
-    const EpPipelineConfig pipe = GetEpPipelineConfig();
-    if (pipe.enabled) {
-      return PipelinedForwardA2A(ctx, config, pipe, w1, w3, w2, x_local, routing_local,
-                                 cache);
-    }
-    cache->pipeline_chunks = 0;  // blocking reference: backward takes the legacy path
-
-    // --- Dispatch: pack kept token copies by destination (expert owner). ---
-    cache->send_counts.assign(static_cast<size_t>(n), 0);
-    cache->send_token.clear();
-    cache->send_slot.clear();
-    std::vector<int64_t> send_expert;
-    std::vector<float> send_rows;
-    for (int dst = 0; dst < n; ++dst) {
-      for (int64_t t = 0; t < t_local; ++t) {
-        for (int64_t slot = 0; slot < k; ++slot) {
-          if (routing_local.dropped[static_cast<size_t>(t * k + slot)] != 0) {
-            continue;
-          }
-          const int64_t e = routing_local.expert_index[static_cast<size_t>(t * k + slot)];
-          if (e / e_local != dst) {
-            continue;
-          }
-          ++cache->send_counts[static_cast<size_t>(dst)];
-          cache->send_token.push_back(t);
-          cache->send_slot.push_back(slot);
-          send_expert.push_back(e);
-          const float* row = x_local.data() + t * h;
-          send_rows.insert(send_rows.end(), row, row + h);
-        }
-      }
-    }
-    std::vector<int64_t> row_send_counts(static_cast<size_t>(n));
-    for (int dst = 0; dst < n; ++dst) {
-      row_send_counts[static_cast<size_t>(dst)] =
-          cache->send_counts[static_cast<size_t>(dst)] * h;
-    }
-
-    // Exchange expert ids, then rows.
-    std::vector<int64_t> recv_expert(static_cast<size_t>(t_local * k) * n);
-    std::vector<int64_t> id_recv_counts;
-    ctx.comm->AllToAllV(ctx.rank, send_expert.data(), cache->send_counts,
-                         recv_expert.data(), &id_recv_counts);
-    cache->recv_counts = id_recv_counts;
-    int64_t total_recv = 0;
-    for (int64_t c : cache->recv_counts) {
-      total_recv += c;
-    }
-    recv_expert.resize(static_cast<size_t>(total_recv));
-    std::vector<float> recv_rows(static_cast<size_t>(total_recv * h));
-    std::vector<int64_t> row_recv_counts;
-    ctx.comm->AllToAllV(ctx.rank, send_rows.data(), row_send_counts, recv_rows.data(),
-                         &row_recv_counts);
-
-    // --- Group received rows by local expert (stable: source-rank order is
-    // preserved within each expert, the tile-friendly order of §4.2). ---
-    std::vector<int64_t> counts(static_cast<size_t>(e_local), 0);
-    for (int64_t i = 0; i < total_recv; ++i) {
-      const int64_t e = recv_expert[static_cast<size_t>(i)] - ctx.rank * e_local;
-      MSMOE_CHECK_GE(e, 0);
-      MSMOE_CHECK_LT(e, e_local);
-      ++counts[static_cast<size_t>(e)];
-    }
-    cache->local_offsets.assign(static_cast<size_t>(e_local + 1), 0);
-    for (int64_t e = 0; e < e_local; ++e) {
-      cache->local_offsets[static_cast<size_t>(e + 1)] =
-          cache->local_offsets[static_cast<size_t>(e)] + counts[static_cast<size_t>(e)];
-    }
-    std::vector<int64_t> cursor(cache->local_offsets.begin(), cache->local_offsets.end() - 1);
-    cache->recv_to_sorted.assign(static_cast<size_t>(total_recv), 0);
-    cache->ffn_in = Tensor({total_recv, h});
-    for (int64_t i = 0; i < total_recv; ++i) {
-      const int64_t e = recv_expert[static_cast<size_t>(i)] - ctx.rank * e_local;
-      const int64_t row = cursor[static_cast<size_t>(e)]++;
-      cache->recv_to_sorted[static_cast<size_t>(i)] = row;
-      std::copy(recv_rows.begin() + static_cast<int64_t>(i) * h,
-                recv_rows.begin() + (static_cast<int64_t>(i) + 1) * h,
-                cache->ffn_in.data() + row * h);
-    }
-
-    // --- Expert computation. ---
-    ExpertBlock block = RunExperts(cache->ffn_in, cache->local_offsets, w1_loc, w3_loc,
-                                   w2_loc, e_local);
-    cache->fc1_out = std::move(block.fc1);
-    cache->fc3_out = std::move(block.fc3);
-    cache->fc2_in = std::move(block.fc2_in);
-    cache->fc2_out = std::move(block.fc2_out);
-
-    // --- Combine: un-sort to receive order, send back, weighted sum. ---
-    std::vector<float> return_rows(static_cast<size_t>(total_recv * h));
-    for (int64_t i = 0; i < total_recv; ++i) {
-      const int64_t row = cache->recv_to_sorted[static_cast<size_t>(i)];
-      std::copy(cache->fc2_out.data() + row * h, cache->fc2_out.data() + (row + 1) * h,
-                return_rows.begin() + static_cast<int64_t>(i) * h);
-    }
-    std::vector<int64_t> return_send_counts(static_cast<size_t>(n));
-    for (int src = 0; src < n; ++src) {
-      return_send_counts[static_cast<size_t>(src)] =
-          cache->recv_counts[static_cast<size_t>(src)] * h;
-    }
-    const int64_t total_sent = static_cast<int64_t>(cache->send_token.size());
-    cache->returned_rows = Tensor({total_sent, h});
-    std::vector<int64_t> ignored;
-    ctx.comm->AllToAllV(ctx.rank, return_rows.data(), return_send_counts,
-                         cache->returned_rows.data(), &ignored);
-
-    Tensor y_local({t_local, h});
-    for (int64_t i = 0; i < total_sent; ++i) {
-      const int64_t t = cache->send_token[static_cast<size_t>(i)];
-      const int64_t slot = cache->send_slot[static_cast<size_t>(i)];
-      const float weight = routing_local.combine_weight.At(t, slot);
-      const float* row = cache->returned_rows.data() + i * h;
-      float* out = y_local.data() + t * h;
-      for (int64_t c = 0; c < h; ++c) {
-        out[c] += weight * row[c];
-      }
-    }
-    RecordDispatchTelemetry(ctx, "ep_dispatch_fwd", /*chunks=*/1, cache->local_offsets,
-                            start_us);
-    return y_local;
+    return PipelinedForwardA2A(ctx, config, GetEpPipelineConfig(), w1, w3, w2, x_local,
+                               routing_local, cache);
   }
 
   // --- kAllGatherScatter ---
+  const double start_us = ctx.comm->telemetry().NowUs();
+  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
+  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
+  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
   const int64_t t_total = t_local * n;
   cache->x_all = Tensor({t_total, h});
   ctx.comm->AllGather(ctx.rank, x_local.data(), cache->x_all.data(), t_local * h);
@@ -1077,102 +950,16 @@ EpFfnGrads EpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
   const int64_t t_local = dy_local.dim(0);
   const int64_t k = routing_local.top_k;
 
-  if (mode == EpDispatchMode::kAllToAll && cache.pipeline_chunks > 0) {
+  if (mode == EpDispatchMode::kAllToAll) {
     return PipelinedBackwardA2A(ctx, config, w1, w3, w2, dy_local, routing_local, cache);
   }
 
+  // --- kAllGatherScatter ---
   const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
   const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
   const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
-
   EpFfnGrads grads;
   grads.dcombine_local = Tensor({t_local, k});
-
-  if (mode == EpDispatchMode::kAllToAll) {
-    const int64_t total_sent = static_cast<int64_t>(cache.send_token.size());
-    int64_t total_recv = 0;
-    for (int64_t c : cache.recv_counts) {
-      total_recv += c;
-    }
-
-    // Combine backward at the source: weight the incoming grad per copy and
-    // read off the combine-weight gradient.
-    std::vector<float> dreturned(static_cast<size_t>(total_sent * h));
-    for (int64_t i = 0; i < total_sent; ++i) {
-      const int64_t t = cache.send_token[static_cast<size_t>(i)];
-      const int64_t slot = cache.send_slot[static_cast<size_t>(i)];
-      const float weight = routing_local.combine_weight.At(t, slot);
-      const float* dy_row = dy_local.data() + t * h;
-      const float* ret_row = cache.returned_rows.data() + i * h;
-      float dot = 0.0f;
-      for (int64_t c = 0; c < h; ++c) {
-        dreturned[static_cast<size_t>(i * h + c)] = weight * dy_row[c];
-        dot += dy_row[c] * ret_row[c];
-      }
-      grads.dcombine_local.At(t, slot) = dot;
-    }
-
-    // Ship per-copy grads to the expert owners (same pattern as dispatch).
-    std::vector<int64_t> row_send_counts(static_cast<size_t>(n));
-    for (int dst = 0; dst < n; ++dst) {
-      row_send_counts[static_cast<size_t>(dst)] =
-          cache.send_counts[static_cast<size_t>(dst)] * h;
-    }
-    std::vector<float> drecv(static_cast<size_t>(total_recv * h));
-    std::vector<int64_t> ignored;
-    ctx.comm->AllToAllV(ctx.rank, dreturned.data(), row_send_counts, drecv.data(),
-                         &ignored);
-
-    // Sort to grouped order and run the expert backward chain.
-    Tensor dfc2_out({total_recv, h});
-    for (int64_t i = 0; i < total_recv; ++i) {
-      const int64_t row = cache.recv_to_sorted[static_cast<size_t>(i)];
-      std::copy(drecv.begin() + static_cast<int64_t>(i) * h,
-                drecv.begin() + (static_cast<int64_t>(i) + 1) * h,
-                dfc2_out.data() + row * h);
-    }
-    GroupedGemmGrads fc2_grads =
-        GroupedGemmBackward(dfc2_out, cache.fc2_in, cache.local_offsets, w2_loc, e_local);
-    grads.dw2 = std::move(fc2_grads.dweights);
-    SwiGluGrads swiglu_grads = SwiGluBackward(fc2_grads.dx, cache.fc1_out, cache.fc3_out);
-    GroupedGemmGrads fc1_grads =
-        GroupedGemmBackward(swiglu_grads.dgate, cache.ffn_in, cache.local_offsets, w1_loc,
-                            e_local);
-    GroupedGemmGrads fc3_grads =
-        GroupedGemmBackward(swiglu_grads.dlinear, cache.ffn_in, cache.local_offsets,
-                            w3_loc, e_local);
-    grads.dw1 = std::move(fc1_grads.dweights);
-    grads.dw3 = std::move(fc3_grads.dweights);
-    Tensor dffn_in = Add(fc1_grads.dx, fc3_grads.dx);
-
-    // Un-sort and return the input grads to the token owners.
-    std::vector<float> dffn_recv_order(static_cast<size_t>(total_recv * h));
-    for (int64_t i = 0; i < total_recv; ++i) {
-      const int64_t row = cache.recv_to_sorted[static_cast<size_t>(i)];
-      std::copy(dffn_in.data() + row * h, dffn_in.data() + (row + 1) * h,
-                dffn_recv_order.begin() + static_cast<int64_t>(i) * h);
-    }
-    std::vector<int64_t> return_counts(static_cast<size_t>(n));
-    for (int src = 0; src < n; ++src) {
-      return_counts[static_cast<size_t>(src)] = cache.recv_counts[static_cast<size_t>(src)] * h;
-    }
-    std::vector<float> dx_rows(static_cast<size_t>(total_sent * h));
-    ctx.comm->AllToAllV(ctx.rank, dffn_recv_order.data(), return_counts, dx_rows.data(),
-                         &ignored);
-
-    grads.dx_local = Tensor({t_local, h});
-    for (int64_t i = 0; i < total_sent; ++i) {
-      const int64_t t = cache.send_token[static_cast<size_t>(i)];
-      const float* row = dx_rows.data() + static_cast<int64_t>(i) * h;
-      float* out = grads.dx_local.data() + t * h;
-      for (int64_t c = 0; c < h; ++c) {
-        out[c] += row[c];
-      }
-    }
-    return grads;
-  }
-
-  // --- kAllGatherScatter ---
   const int64_t t_total = t_local * n;
   const int64_t rows = static_cast<int64_t>(cache.copy_token.size());
 
@@ -1231,7 +1018,7 @@ void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,
   const int64_t t_local = x_local.dim(0);
 
   if (cache->ffn_in.empty()) {
-    if (mode == EpDispatchMode::kAllToAll && cache->pipeline_chunks > 0) {
+    if (mode == EpDispatchMode::kAllToAll) {
       // Replay the pipelined chunked dispatch (re-quantizing in FP8 mode —
       // per-token scales make the codes bitwise the forward's).
       const int C = cache->pipeline_chunks;
@@ -1245,35 +1032,6 @@ void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,
                       &cache->ffn_in);
       graph.Execute(/*num_streams=*/2);
       handles.clear();
-    } else if (mode == EpDispatchMode::kAllToAll) {
-      // Re-pack the rows this rank dispatched (send_token preserves the
-      // forward order) and replay the all-to-all.
-      const int64_t total_sent = static_cast<int64_t>(cache->send_token.size());
-      std::vector<float> send_rows(static_cast<size_t>(total_sent * h));
-      for (int64_t i = 0; i < total_sent; ++i) {
-        const int64_t t = cache->send_token[static_cast<size_t>(i)];
-        std::copy(x_local.data() + t * h, x_local.data() + (t + 1) * h,
-                  send_rows.begin() + i * h);
-      }
-      std::vector<int64_t> row_send_counts(static_cast<size_t>(n));
-      for (int dst = 0; dst < n; ++dst) {
-        row_send_counts[static_cast<size_t>(dst)] =
-            cache->send_counts[static_cast<size_t>(dst)] * h;
-      }
-      int64_t total_recv = 0;
-      for (int64_t c : cache->recv_counts) {
-        total_recv += c;
-      }
-      std::vector<float> recv_rows(static_cast<size_t>(total_recv * h));
-      std::vector<int64_t> ignored;
-      ctx.comm->AllToAllV(ctx.rank, send_rows.data(), row_send_counts, recv_rows.data(),
-                           &ignored);
-      cache->ffn_in = Tensor({total_recv, h});
-      for (int64_t i = 0; i < total_recv; ++i) {
-        const int64_t row = cache->recv_to_sorted[static_cast<size_t>(i)];
-        std::copy(recv_rows.begin() + i * h, recv_rows.begin() + (i + 1) * h,
-                  cache->ffn_in.data() + row * h);
-      }
     } else {
       if (cache->x_all.empty()) {
         cache->x_all = Tensor({t_local * n, h});

@@ -11,9 +11,9 @@
 //                      2bsh(n-1)/n, identical to TP (Eq 4) but ring-friendly
 //                      (Fig 6/7).
 //
-// Rank r owns experts [r*E/n, (r+1)*E/n). Both modes produce bitwise-equal
-// results to the single-rank reference (same routing in, same combine out);
-// expert-weight gradients are complete on the owner rank (no extra sync).
+// Rank r owns experts [r*E/n, (r+1)*E/n). Both modes match the single-rank
+// reference (same routing in, same combine out); expert-weight gradients
+// are complete on the owner rank (no extra sync).
 //
 // The kAllToAll path is a fused pipeline (the paper's §4.2 fused dispatch
 // kernels, Fig 7): a counting-sort permutation built in one O(T·k) pass
@@ -24,14 +24,16 @@
 // lands — expert compute hides the remaining dispatch wire. An optional
 // quantize-on-pack FP8 mode calls QuantizeInto per row straight into the
 // send staging (codes + per-token scale share one wire payload) instead of
-// running a separate quantization pre-pass. The pipeline is bitwise
-// identical to the blocking reference for every chunk count and worker
-// count: chunks partition the LOCAL token range in ascending order, so the
-// receiver reconstructs exactly the legacy source-major grouped row order,
-// and each token's combine accumulation keeps the legacy (owner rank asc,
-// slot asc) order. SetEpPipelineConfig toggles the pipeline; the blocking
-// reference path is kept both as the fallback and as the baseline the
-// property tests and bench_fig7_dispatch pin the pipeline against.
+// running a separate quantization pre-pass. Chunks partition the LOCAL
+// token range in ascending order, so every expert sees its rows in global
+// token order (source rank, then token) for every chunk and worker count.
+// Expert activations and weight gradients, the rematerialized ffn_in and
+// the combine-weight gradients are therefore bitwise equal to the
+// single-rank reference. y and dx are too at top-k <= 2; at larger top-k
+// they are bitwise equal across chunk and worker counts and match the
+// reference only to rounding, because each token's copies are summed in
+// (owner rank asc, slot asc) order while the reference sums them in slot
+// order, and float addition of three or more terms is order-dependent.
 #ifndef MSMOE_SRC_PARALLEL_EP_FFN_H_
 #define MSMOE_SRC_PARALLEL_EP_FFN_H_
 
@@ -63,7 +65,6 @@ const char* EpDispatchModeName(EpDispatchMode mode);
 // forced to kPerToken — the only granularity whose scales are per-row and
 // therefore identical whether rows are quantized packed or in place.
 struct EpPipelineConfig {
-  bool enabled = true;
   int num_chunks = 4;
   bool fp8_dispatch = false;
   QuantConfig quant;
@@ -81,23 +82,17 @@ struct EpFfnCache {
   Tensor fc2_out;   // [R, h]
   std::vector<int64_t> local_offsets;  // [E_local + 1] row ranges
 
-  // kAllToAll bookkeeping.
-  std::vector<int64_t> send_counts;   // rows sent to each rank
-  std::vector<int64_t> recv_counts;   // rows received from each rank
-  std::vector<int64_t> send_token;    // per sent row: local token index
-  std::vector<int64_t> send_slot;     // per sent row: top-k slot
-  std::vector<int64_t> recv_to_sorted;  // received row -> grouped row (legacy)
-  Tensor returned_rows;               // expert outputs back at the source
-
-  // Fused-pipeline bookkeeping (kAllToAll with the pipeline enabled). Send
-  // rows are enumerated chunk-major — (chunk, dst rank, token asc, slot
-  // asc) — where chunks partition the local token range in ascending
-  // order; send_token/send_slot/returned_rows above use this order. The
-  // receive side keeps two enumerations of the same rows: "legacy order"
-  // (source-major, exactly the blocking path's receive order, which
-  // chunk_to_sorted maps to grouped rows) and "chunk order" (chunk-major,
-  // the order rows land on the wire).
-  int pipeline_chunks = 0;                 // C used by the forward (0 = blocking)
+  // kAllToAll bookkeeping. Send rows are enumerated chunk-major — (chunk,
+  // dst rank, token asc, slot asc) — where chunks partition the local token
+  // range in ascending order; send_token/send_slot/returned_rows use this
+  // order. Received rows are enumerated in "chunk order" (chunk-major, the
+  // order rows land on the wire), which chunk_to_sorted maps to grouped
+  // rows (expert, source rank, token).
+  std::vector<int64_t> recv_counts;        // rows received from each rank
+  std::vector<int64_t> send_token;         // per sent row: local token index
+  std::vector<int64_t> send_slot;          // per sent row: top-k slot
+  Tensor returned_rows;                    // expert outputs back at the source
+  int pipeline_chunks = 0;                 // C used by the forward
   bool fp8_wire = false;                   // forward dispatch was quantize-on-pack
   QuantConfig wire_quant;
   std::vector<int64_t> send_chunk_counts;  // [C*n] rows in (chunk, dst) segment
@@ -140,9 +135,9 @@ EpFfnGrads EpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
 // (the paper's "re-performing RMSNorm and all-gather"), and `fc2_in` by
 // re-applying SwiGLU to the retained fc1/fc3 outputs. Collective: all ranks
 // of the group must call it together. Fields already present are left
-// untouched. A cache produced by the pipelined forward replays the
-// pipelined (chunked, quantize-on-pack) dispatch so the rebuilt ffn_in is
-// bitwise the forward's.
+// untouched. In kAllToAll mode it replays the forward's chunked
+// (quantize-on-pack) dispatch, so the rebuilt ffn_in is bitwise the
+// forward's.
 void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,
                         EpDispatchMode mode, const Tensor& x_local, EpFfnCache* cache);
 

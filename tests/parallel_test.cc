@@ -8,7 +8,6 @@
 #include "src/comm/communicator.h"
 #include "src/model/attention.h"
 #include "src/model/config.h"
-#include "src/model/grouped_gemm.h"
 #include "src/model/router.h"
 #include "src/numerics/bf16.h"
 #include "src/parallel/dp_grad_sync.h"
@@ -18,6 +17,7 @@
 #include "src/parallel/tp_attention.h"
 #include "src/parallel/tp_ffn.h"
 #include "src/tensor/tensor_ops.h"
+#include "tests/ref_ffn.h"
 
 namespace msmoe {
 namespace {
@@ -236,74 +236,6 @@ TEST_F(AttentionParallelTest, SpCommunicatesLessThanTp) {
   EXPECT_NEAR(measured_ratio, expected_ratio, 0.05);
 }
 
-// --- Single-rank reference for the expert FFN block (dispatch -> grouped
-// GEMMs -> SwiGLU -> weighted combine). ---
-struct RefFfnResult {
-  Tensor y;
-  Tensor dx;
-  Tensor dcombine;
-  std::vector<Tensor> dw1, dw3, dw2;
-};
-
-RefFfnResult ReferenceFfn(const ModelConfig& config, const std::vector<Tensor>& w1,
-                          const std::vector<Tensor>& w3, const std::vector<Tensor>& w2,
-                          const Tensor& x, const RoutingResult& routing, const Tensor& dy) {
-  const int64_t tokens = x.dim(0);
-  const int64_t h = config.hidden;
-  const int64_t k = routing.top_k;
-  DispatchPlan plan = BuildDispatchPlan(routing, config.num_experts);
-  Tensor ffn_in = GatherRows(x, plan.row_map);
-  Tensor fc1 = GroupedGemm(ffn_in, plan.expert_offsets, w1);
-  Tensor fc3 = GroupedGemm(ffn_in, plan.expert_offsets, w3);
-  Tensor fc2_in = SwiGlu(fc1, fc3);
-  Tensor fc2_out = GroupedGemm(fc2_in, plan.expert_offsets, w2);
-
-  RefFfnResult result;
-  result.y = Tensor({tokens, h});
-  for (int64_t t = 0; t < tokens; ++t) {
-    for (int64_t slot = 0; slot < k; ++slot) {
-      const int64_t row = plan.slot_to_row[static_cast<size_t>(t * k + slot)];
-      if (row < 0) {
-        continue;
-      }
-      const float weight = routing.combine_weight.At(t, slot);
-      for (int64_t c = 0; c < h; ++c) {
-        result.y.At(t, c) += weight * fc2_out.At(row, c);
-      }
-    }
-  }
-
-  Tensor dfc2_out({fc2_out.dim(0), h});
-  result.dcombine = Tensor({tokens, k});
-  for (int64_t t = 0; t < tokens; ++t) {
-    for (int64_t slot = 0; slot < k; ++slot) {
-      const int64_t row = plan.slot_to_row[static_cast<size_t>(t * k + slot)];
-      if (row < 0) {
-        continue;
-      }
-      const float weight = routing.combine_weight.At(t, slot);
-      float dot = 0.0f;
-      for (int64_t c = 0; c < h; ++c) {
-        dfc2_out.At(row, c) += weight * dy.At(t, c);
-        dot += dy.At(t, c) * fc2_out.At(row, c);
-      }
-      result.dcombine.At(t, slot) = dot;
-    }
-  }
-  GroupedGemmGrads fc2_grads = GroupedGemmBackward(dfc2_out, fc2_in, plan.expert_offsets, w2);
-  result.dw2 = std::move(fc2_grads.dweights);
-  SwiGluGrads swiglu_grads = SwiGluBackward(fc2_grads.dx, fc1, fc3);
-  GroupedGemmGrads fc1_grads =
-      GroupedGemmBackward(swiglu_grads.dgate, ffn_in, plan.expert_offsets, w1);
-  GroupedGemmGrads fc3_grads =
-      GroupedGemmBackward(swiglu_grads.dlinear, ffn_in, plan.expert_offsets, w3);
-  result.dw1 = std::move(fc1_grads.dweights);
-  result.dw3 = std::move(fc3_grads.dweights);
-  Tensor dffn_in = Add(fc1_grads.dx, fc3_grads.dx);
-  result.dx = ScatterAddRows(dffn_in, plan.row_map, tokens);
-  return result;
-}
-
 class FfnParallelTest : public ::testing::TestWithParam<EpDispatchMode> {
  protected:
   void SetUp() override {
@@ -387,63 +319,50 @@ INSTANTIATE_TEST_SUITE_P(BothDispatchModes, FfnParallelTest,
 
 // Quantize-on-pack FP8 dispatch: quantizing each row directly into the send
 // staging (codes + per-token scale on one wire payload) must be BITWISE the
-// same as the two-pass reference — round-tripping x through per-token FP8
-// first, then running the blocking FP32 dispatch on the already-quantized
-// activations. Routing stays on the ORIGINAL x in both runs (the router is
-// upstream of the dispatch quantization).
+// same as the single-rank reference run on x round-tripped through per-token
+// FP8. Routing stays on the ORIGINAL x in both (the router is upstream of
+// the dispatch quantization). Top-2, so the combine sum is order-free.
 TEST_F(FfnParallelTest, PipelinedFp8DispatchMatchesRoundTripReference) {
   const int n = 2;
-  const int64_t t_local = x_full_.dim(0) / n;
+  const int64_t tokens = x_full_.dim(0);
+  const int64_t t_local = tokens / n;
   const int64_t h = config_.hidden;
   QuantConfig quant;
   quant.granularity = QuantGranularity::kPerToken;
+  const Tensor x_q =
+      Tensor::FromVector({tokens, h}, QuantizeRoundTrip(x_full_.data(), tokens, h, quant));
+  const RefFfnResult ref =
+      ReferenceFfn(config_, w1_, w3_, w2_, x_q, routing_full_, dy_full_);
 
   const EpPipelineConfig saved = GetEpPipelineConfig();
-  EpPipelineConfig pc;
-  pc.enabled = true;
-  pc.num_chunks = 3;
-  pc.fp8_dispatch = true;
-  pc.quant = quant;
-  SetEpPipelineConfig(pc);
-  FlatCommunicator fp8_group(n);
-  std::vector<Tensor> y_fp8(n);
-  RunOnRanks(n, [&](int rank) {
-    ShardContext ctx{&fp8_group, rank};
-    Tensor x_local = x_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
-    RoutingResult routing = RouteTokens(MatMul(x_local, w_gate_), router_);
-    EpFfnCache cache;
-    y_fp8[static_cast<size_t>(rank)] =
-        EpFfnForward(ctx, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_,
-                     x_local, routing, &cache);
-  });
-
-  pc = EpPipelineConfig{};
-  pc.enabled = false;
-  SetEpPipelineConfig(pc);
-  FlatCommunicator ref_group(n);
-  std::vector<Tensor> y_ref(n);
-  RunOnRanks(n, [&](int rank) {
-    ShardContext ctx{&ref_group, rank};
-    Tensor x_local = x_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
-    RoutingResult routing = RouteTokens(MatMul(x_local, w_gate_), router_);
-    Tensor x_q = Tensor::FromVector(
-        {t_local, h}, QuantizeRoundTrip(x_local.data(), t_local, h, quant));
-    EpFfnCache cache;
-    y_ref[static_cast<size_t>(rank)] =
-        EpFfnForward(ctx, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_, x_q,
-                     routing, &cache);
-  });
-  SetEpPipelineConfig(saved);
-
-  for (int rank = 0; rank < n; ++rank) {
-    const Tensor& a = y_fp8[static_cast<size_t>(rank)];
-    const Tensor& b = y_ref[static_cast<size_t>(rank)];
-    ASSERT_EQ(a.numel(), b.numel()) << rank;
-    EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                          static_cast<size_t>(a.numel()) * sizeof(float)),
-              0)
-        << rank;
+  for (int chunks : {1, 3}) {
+    EpPipelineConfig pc;
+    pc.num_chunks = chunks;
+    pc.fp8_dispatch = true;
+    pc.quant = quant;
+    SetEpPipelineConfig(pc);
+    FlatCommunicator group(n);
+    std::vector<Tensor> y_fp8(n);
+    RunOnRanks(n, [&](int rank) {
+      ShardContext ctx{&group, rank};
+      Tensor x_local = x_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
+      RoutingResult routing = RouteTokens(MatMul(x_local, w_gate_), router_);
+      EpFfnCache cache;
+      y_fp8[static_cast<size_t>(rank)] =
+          EpFfnForward(ctx, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_,
+                       x_local, routing, &cache);
+    });
+    for (int rank = 0; rank < n; ++rank) {
+      const Tensor& a = y_fp8[static_cast<size_t>(rank)];
+      const Tensor b = ref.y.SliceRows(rank * t_local, (rank + 1) * t_local);
+      ASSERT_EQ(a.numel(), b.numel()) << rank;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                            static_cast<size_t>(a.numel()) * sizeof(float)),
+                0)
+          << "chunks=" << chunks << " rank=" << rank;
+    }
   }
+  SetEpPipelineConfig(saved);
 }
 
 TEST_F(FfnParallelTest, TpFfnMatchesSingleRank) {
