@@ -8,19 +8,24 @@
 // dispatch/combine pipeline (src/parallel/ep_ffn) at several chunk counts
 // against the same pipeline at one chunk — no overlap: the whole dispatch
 // lands before any expert GEMM runs, and the whole combine leaves after —
-// on the thread-rank substrate, across worker counts. The Communicator's
+// on the thread-rank substrate, across worker counts, and does the same for
+// the backward (one chunk = the whole dy dispatch, then the whole expert
+// backward, then the whole dx return). The Communicator's
 // emulated wire clock is calibrated from the measured wire_bytes of one
 // one-chunk step so comm ~= comp (the regime where the §4.2 overlap pays);
 // the chunked pipeline's expert GEMMs and chunk packing then genuinely
 // overlap the emulated dispatch/combine transfers. Results go to
 // BENCH_fig7.json: the analytic per-top-k rows as before, plus a
-// "measured" object with the overlap sweep ("baseline": "pipelined_c1").
+// "measured" object with the overlap sweep ("baseline": "pipelined_c1"),
+// each point carrying its forward and backward ("bwd_") timings.
 //
 // With --check, runs only the measured sweep and exits non-zero unless
-// (a) every chunked output is bitwise equal to the one-chunk output at the
-// same worker count, (b) chunking beats one chunk by >= 1.3x at the best
-// point, and (c) the steady-state dispatch path performs zero heap (pool-
-// miss) allocations — the Release-mode dispatch smoke of tools/check.sh.
+// (a) every chunked output — y forward, dx / combine-weight grads / dW
+// backward — is bitwise equal to the one-chunk output at the same worker
+// count, (b) chunking beats one chunk by >= 1.3x at the best forward
+// point, and (c) the steady-state forward dispatch path performs zero heap
+// (pool-miss) allocations — the Release-mode dispatch smoke of
+// tools/check.sh. The backward speedup is reported, not gated.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -68,6 +73,13 @@ struct MeasuredPoint {
   bool bitwise_equal = false;
   TimingStats c1_stats;         // p10/p90 spread + rep count behind c1_ms
   TimingStats pipelined_stats;  // ... and behind pipelined_ms
+  // The backward at the same point: dx, combine-weight grads and dW.
+  double c1_bwd_ms = 0.0;
+  double pipelined_bwd_ms = 0.0;
+  double bwd_speedup = 0.0;
+  bool bwd_bitwise_equal = false;
+  TimingStats c1_bwd_stats;
+  TimingStats pipelined_bwd_stats;
 };
 
 struct MeasuredReport {
@@ -77,7 +89,7 @@ struct MeasuredReport {
   uint64_t step_wire_bytes = 0;
   uint64_t steady_heap_allocs = 0;  // pool misses across steady-state pipelined steps
   std::vector<MeasuredPoint> points;
-  bool all_bitwise = true;
+  bool all_bitwise = true;  // forward and backward
 
   const MeasuredPoint* Best() const {
     const MeasuredPoint* best = nullptr;
@@ -89,6 +101,21 @@ struct MeasuredReport {
     return best;
   }
 };
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+bool SameBits(const EpFfnGrads& a, const EpFfnGrads& b) {
+  bool same = SameBits(a.dx_local, b.dx_local) &&
+              SameBits(a.dcombine_local, b.dcombine_local) && a.dw1.size() == b.dw1.size();
+  for (size_t e = 0; same && e < a.dw1.size(); ++e) {
+    same = SameBits(a.dw1[e], b.dw1[e]) && SameBits(a.dw3[e], b.dw3[e]) &&
+           SameBits(a.dw2[e], b.dw2[e]);
+  }
+  return same;
+}
 
 MeasuredReport RunMeasured() {
   ModelConfig model;
@@ -116,6 +143,10 @@ MeasuredReport RunMeasured() {
     Tensor logits = MatMul(x_locals.back(), w_gate);
     routings.push_back(RouteTokens(logits, router));
   }
+  std::vector<Tensor> dy_locals;
+  for (int rank = 0; rank < kRanks; ++rank) {
+    dy_locals.push_back(Tensor::Randn({kTokensLocal, kHidden}, rng));
+  }
 
   FlatCommunicator comm(kRanks);
   std::vector<Tensor> y_c1(kRanks);
@@ -130,6 +161,17 @@ MeasuredReport RunMeasured() {
           ctx, model, EpDispatchMode::kAllToAll, w1, w3, w2,
           x_locals[static_cast<size_t>(rank)], routings[static_cast<size_t>(rank)],
           &caches[static_cast<size_t>(rank)]);
+    });
+  };
+  // Backward of the last forward step (the caches carry its chunk count).
+  std::vector<EpFfnGrads> g_c1(kRanks);
+  std::vector<EpFfnGrads> g_pipelined(kRanks);
+  auto run_backward = [&](std::vector<EpFfnGrads>* out) {
+    RunOnRanks(kRanks, [&](int rank) {
+      const size_t r = static_cast<size_t>(rank);
+      ShardContext ctx{&comm, rank};
+      (*out)[r] = EpFfnBackward(ctx, model, EpDispatchMode::kAllToAll, w1, w3, w2,
+                                dy_locals[r], routings[r], caches[r]);
     });
   };
   auto set_chunks = [&](int chunks) {
@@ -157,11 +199,12 @@ MeasuredReport RunMeasured() {
   report.wire_ms = static_cast<double>(report.step_wire_bytes) / bytes_per_us / 1e3;
 
   const int default_workers = ParallelWorkerCount();
-  const int64_t out_elems = kTokensLocal * kHidden;
   for (int workers : {1, 2}) {
     SetParallelWorkerCount(workers);
     set_chunks(1);
     const TimingStats c1_stats = TimedStatsOfN(kWarmup, kReps, [&] { run_step(&y_c1); });
+    const TimingStats c1_bwd_stats =
+        TimedStatsOfN(kWarmup, kReps, [&] { run_backward(&g_c1); });
     for (int chunks : {2, 4, 8}) {
       MeasuredPoint point;
       point.workers = workers;
@@ -173,15 +216,20 @@ MeasuredReport RunMeasured() {
           TimedStatsOfN(kWarmup, kReps, [&] { run_step(&y_pipelined); });
       point.pipelined_ms = point.pipelined_stats.median_s * 1e3;
       point.speedup = point.c1_ms / point.pipelined_ms;
+      point.c1_bwd_stats = c1_bwd_stats;
+      point.c1_bwd_ms = c1_bwd_stats.median_s * 1e3;
+      point.pipelined_bwd_stats =
+          TimedStatsOfN(kWarmup, kReps, [&] { run_backward(&g_pipelined); });
+      point.pipelined_bwd_ms = point.pipelined_bwd_stats.median_s * 1e3;
+      point.bwd_speedup = point.c1_bwd_ms / point.pipelined_bwd_ms;
       point.bitwise_equal = true;
-      for (int rank = 0; rank < kRanks; ++rank) {
-        point.bitwise_equal =
-            point.bitwise_equal &&
-            std::memcmp(y_pipelined[static_cast<size_t>(rank)].data(),
-                        y_c1[static_cast<size_t>(rank)].data(),
-                        static_cast<size_t>(out_elems) * sizeof(float)) == 0;
+      point.bwd_bitwise_equal = true;
+      for (size_t r = 0; r < static_cast<size_t>(kRanks); ++r) {
+        point.bitwise_equal = point.bitwise_equal && SameBits(y_pipelined[r], y_c1[r]);
+        point.bwd_bitwise_equal = point.bwd_bitwise_equal && SameBits(g_pipelined[r], g_c1[r]);
       }
-      report.all_bitwise = report.all_bitwise && point.bitwise_equal;
+      report.all_bitwise =
+          report.all_bitwise && point.bitwise_equal && point.bwd_bitwise_equal;
       report.points.push_back(point);
     }
   }
@@ -211,13 +259,17 @@ void PrintMeasured(const MeasuredReport& report) {
               static_cast<long long>(kTokensLocal), static_cast<long long>(kHidden),
               static_cast<long long>(kTopK), report.comp_ms, report.wire_ms);
   TablePrinter table({"Workers", "Chunks", "C=1 (ms)", "Pipelined (ms)", "Speedup",
-                      "Bitwise"});
+                      "Bitwise", "Bwd C=1 (ms)", "Bwd pipelined (ms)", "Bwd speedup",
+                      "Bwd bitwise"});
   for (const MeasuredPoint& point : report.points) {
     table.AddRow({std::to_string(point.workers), std::to_string(point.chunks),
                   TablePrinter::Fmt(point.c1_ms, 2),
                   TablePrinter::Fmt(point.pipelined_ms, 2),
                   TablePrinter::Fmt(point.speedup, 2) + "x",
-                  point.bitwise_equal ? "yes" : "NO"});
+                  point.bitwise_equal ? "yes" : "NO", TablePrinter::Fmt(point.c1_bwd_ms, 2),
+                  TablePrinter::Fmt(point.pipelined_bwd_ms, 2),
+                  TablePrinter::Fmt(point.bwd_speedup, 2) + "x",
+                  point.bwd_bitwise_equal ? "yes" : "NO"});
   }
   table.Print("Measured fused dispatch pipeline (src/parallel/ep_ffn):");
   if (const MeasuredPoint* best = report.Best()) {
@@ -306,12 +358,20 @@ void WriteJson(const std::vector<AnalyticRow>& rows, const MeasuredReport* measu
       AppendTimingSpreadJson(&spread, "c1", point.c1_stats);
       spread += ", ";
       AppendTimingSpreadJson(&spread, "pipelined", point.pipelined_stats);
+      std::string bwd_spread;
+      AppendTimingSpreadJson(&bwd_spread, "c1_bwd", point.c1_bwd_stats);
+      bwd_spread += ", ";
+      AppendTimingSpreadJson(&bwd_spread, "pipelined_bwd", point.pipelined_bwd_stats);
       std::fprintf(json.get(),
                    "%s\n  {\"workers\":%d,\"chunks\":%d,\"c1_ms\":%.3f,"
-                   "\"pipelined_ms\":%.3f,\"speedup\":%.3f,%s,\"bitwise\":%s}",
+                   "\"pipelined_ms\":%.3f,\"speedup\":%.3f,%s,\"bitwise\":%s,"
+                   "\"c1_bwd_ms\":%.3f,\"pipelined_bwd_ms\":%.3f,\"bwd_speedup\":%.3f,%s,"
+                   "\"bwd_bitwise\":%s}",
                    i == 0 ? "" : ",", point.workers, point.chunks, point.c1_ms,
                    point.pipelined_ms, point.speedup, spread.c_str(),
-                   point.bitwise_equal ? "true" : "false");
+                   point.bitwise_equal ? "true" : "false", point.c1_bwd_ms,
+                   point.pipelined_bwd_ms, point.bwd_speedup, bwd_spread.c_str(),
+                   point.bwd_bitwise_equal ? "true" : "false");
     }
     std::fprintf(json.get(), "\n]}");
   }
@@ -324,8 +384,8 @@ int CheckMode() {
   PrintMeasured(report);
   WriteJson(AnalyticRows(), &report);
   if (!report.all_bitwise) {
-    std::printf("\nPERF SMOKE FAILED: chunked dispatch output not bitwise equal to "
-                "the one-chunk output\n");
+    std::printf("\nPERF SMOKE FAILED: chunked dispatch output or grads not bitwise "
+                "equal to the one-chunk run\n");
     return 1;
   }
   const MeasuredPoint* best = report.Best();
@@ -342,7 +402,8 @@ int CheckMode() {
     return 1;
   }
   std::printf("\ndispatch smoke ok: pipelined %.2fx over one chunk (%d chunks, "
-              "%d workers), bitwise identical, zero steady-state heap allocs\n",
+              "%d workers), forward and backward bitwise identical, zero "
+              "steady-state heap allocs\n",
               best->speedup, best->chunks, best->workers);
   return 0;
 }

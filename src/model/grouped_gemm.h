@@ -40,6 +40,15 @@ GroupedGemmGrads GroupedGemmBackward(const Tensor& dy, const Tensor& x,
                                      const std::vector<int64_t>& offsets,
                                      const std::vector<Tensor>& weights);
 
+// The dW half of GroupedGemmBackward on its own: dweights[e] = xᵀ @ dy over
+// expert e's rows, each a whole-expert task (the row reduction is never
+// split), through the same task queue and KernelStats accounting — for
+// callers that compute dx elsewhere (the EP pipeline's per-chunk dgrad).
+// Bitwise equal to GroupedGemmBackward(...).dweights.
+std::vector<Tensor> GroupedGemmWeightGrads(const Tensor& dy, const Tensor& x,
+                                           const std::vector<int64_t>& offsets,
+                                           int64_t num_experts);
+
 }  // namespace msmoe
 
 #endif  // MSMOE_SRC_MODEL_GROUPED_GEMM_H_

@@ -1,8 +1,10 @@
 #include "src/parallel/ep_ffn.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -200,46 +202,202 @@ Status ScatterChunkRows(const EpFfnCache& cache, PipelineScratch* scratch, int c
   return Status::Ok();
 }
 
-// Records the receive side of a chunked dispatch on `graph`: a chained
-// stream-1 wait per chunk plus a chained stream-0 scatter delivering that
+// Per-chunk op name: "name[c]".
+std::string ChunkOpName(const char* name, int c) {
+  std::string out(name);
+  out += '[';
+  out += std::to_string(c);
+  out += ']';
+  return out;
+}
+
+// Last op ids of a recorded chain: the stream-1 wait and the stream-0 op
+// that the next recorded ops chain after.
+struct ChainTail {
+  int wait = -1;
+  int s0 = -1;
+};
+
+// Records the receive side of a chunked dispatch on `graph`: per chunk a
+// chained stream-1 wait plus a chained stream-0 scatter delivering that
 // chunk's rows into `dst` at their grouped positions (dequantizing on the
-// fly in FP8 mode). Returns the scatter op ids so callers can hang
-// per-expert work off the chunk that completes an expert's rows; the chain
-// makes scatter[c] transitively cover every earlier chunk.
-std::vector<int> AddScatterChain(ExecGraph* graph, const EpFfnCache& cache,
-                                 const std::vector<std::unique_ptr<CommHandle>>& handles,
-                                 PipelineScratch* scratch, int64_t h, bool fp8,
-                                 Tensor* dst) {
-  const int C = cache.pipeline_chunks;
+// fly in FP8 mode), followed by whatever stream-0 ops `consume(c, scatter)`
+// records for the chunk; it returns the last of them, which the next
+// scatter chains after. Chaining every stream-0 op keeps the declared
+// order, so Starts issued by consumers run on the calling rank thread in
+// the same order on every rank and the per-rank Start FIFO contract of
+// async_comm.h holds exactly as in eager code.
+template <typename ConsumeFn>
+ChainTail AddScatterChain(ExecGraph* graph, const EpFfnCache& cache,
+                          const std::vector<std::unique_ptr<CommHandle>>& handles,
+                          PipelineScratch* scratch, int64_t h, bool fp8, Tensor* dst,
+                          const char* wait_name, const char* scatter_name,
+                          const ConsumeFn& consume) {
   const QuantConfig quant = cache.wire_quant;
   const EpFfnCache* cache_p = &cache;
-  std::vector<int> scatter_ids(static_cast<size_t>(C), -1);
-  int prev_wait = -1;
-  int prev_scatter = -1;
-  for (int c = 0; c < C; ++c) {
+  ChainTail tail;
+  for (int c = 0; c < cache.pipeline_chunks; ++c) {
     std::vector<int> wait_deps;
-    if (prev_wait >= 0) {
-      wait_deps.push_back(prev_wait);
+    if (tail.wait >= 0) {
+      wait_deps.push_back(tail.wait);
     }
     CommHandle* handle = handles[static_cast<size_t>(c)].get();
-    const int wait =
-        graph->AddComm("ep_dispatch_wait[" + std::to_string(c) + "]", /*stream=*/1,
-                       [handle] { return handle->WaitAll(); }, wait_deps);
-    std::vector<int> deps{wait};
-    if (prev_scatter >= 0) {
-      deps.push_back(prev_scatter);
+    tail.wait = graph->AddComm(ChunkOpName(wait_name, c), /*stream=*/1,
+                               [handle] { return handle->WaitAll(); }, wait_deps);
+    std::vector<int> deps{tail.wait};
+    if (tail.s0 >= 0) {
+      deps.push_back(tail.s0);
     }
     const int scatter = graph->AddCompute(
-        "ep_scatter[" + std::to_string(c) + "]",
+        ChunkOpName(scatter_name, c),
         [cache_p, scratch, dst, c, h, fp8, quant] {
           return ScatterChunkRows(*cache_p, scratch, c, h, fp8, quant, dst);
         },
         deps, "scatter");
-    scatter_ids[static_cast<size_t>(c)] = scatter;
-    prev_wait = wait;
-    prev_scatter = scatter;
+    tail.s0 = consume(c, scatter);
   }
-  return scatter_ids;
+  return tail;
+}
+
+// Per-chunk gather order: chunk c's grouped rows, ascending, at
+// gather[recv_chunk_base[c]...]. Sorting each chunk's chunk_to_sorted
+// slice groups its rows by (expert, source, token) — the grouped order
+// restricted to the chunk — which RunChunkExperts relies on.
+int64_t* BuildChunkGather(const EpFfnCache& cache) {
+  const int C = cache.pipeline_chunks;
+  int64_t* gather = WsInts("ep.chunk_gather", cache.recv_chunk_base[static_cast<size_t>(C)]);
+  for (int c = 0; c < C; ++c) {
+    const int64_t chunk_begin = cache.recv_chunk_base[static_cast<size_t>(c)];
+    const int64_t chunk_end = cache.recv_chunk_base[static_cast<size_t>(c) + 1];
+    std::copy(cache.chunk_to_sorted.begin() + chunk_begin,
+              cache.chunk_to_sorted.begin() + chunk_end, gather + chunk_begin);
+    std::sort(gather + chunk_begin, gather + chunk_end);
+  }
+  return gather;
+}
+
+// Row copies between a grouped tensor ([R, width], rows in grouped order)
+// and a chunk's dense staging: staged row r is grouped row gidx[r].
+struct RowCopy {
+  const float* from;
+  float* to;
+  int64_t width;
+};
+
+// Gathers (staged row r <- grouped row gidx[r]) or, with `scatter`, writes
+// back (grouped row gidx[r] <- staged row r) every copy in `copies`.
+void CopyChunkRows(const int64_t* gidx, int64_t rows, bool scatter,
+                   std::initializer_list<RowCopy> copies) {
+  ParallelFor(rows, 32, [&](int64_t r0, int64_t r1) {
+    for (const RowCopy& copy : copies) {
+      const size_t bytes = static_cast<size_t>(copy.width) * sizeof(float);
+      for (int64_t r = r0; r < r1; ++r) {
+        const int64_t from = scatter ? r : gidx[r];
+        const int64_t to = scatter ? gidx[r] : r;
+        std::memcpy(copy.to + to * copy.width, copy.from + from * copy.width, bytes);
+      }
+    }
+  });
+}
+
+// The per-chunk expert body both pipeline directions share. `gidx` lists
+// the chunk's grouped rows ascending, so each local expert's rows form one
+// contiguous staged span: after gathering `inputs`, `expert(e, lo, m)` runs
+// once per local expert with rows in the chunk (staged rows [lo, lo + m)),
+// i.e. ONE dense GEMM per weight instead of hundreds of 1-row GEMMs (within
+// a (chunk, source) segment rows alternate experts in token order). Row
+// gather + row-partitioned GEMM leaves every row's arithmetic untouched
+// (gemm_kernel.h), so the results are bitwise the whole-tensor grouped
+// GEMMs'. Either direction runs three h x f GEMMs per row; that work is
+// recorded as one grouped-GEMM call.
+template <typename ExpertFn>
+void RunChunkExperts(const int64_t* gidx, int64_t rows, const std::vector<int64_t>& offsets,
+                     int64_t h, int64_t f, std::initializer_list<RowCopy> inputs,
+                     const ExpertFn& expert) {
+  CopyChunkRows(gidx, rows, /*scatter=*/false, inputs);
+  const auto start = std::chrono::steady_clock::now();
+  const int64_t e_local = static_cast<int64_t>(offsets.size()) - 1;
+  for (int64_t e = 0; e < e_local; ++e) {
+    const int64_t lo =
+        std::lower_bound(gidx, gidx + rows, offsets[static_cast<size_t>(e)]) - gidx;
+    const int64_t hi =
+        std::lower_bound(gidx, gidx + rows, offsets[static_cast<size_t>(e + 1)]) - gidx;
+    if (hi > lo) {
+      expert(e, lo, hi - lo);
+    }
+  }
+  const double micros =
+      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
+          .count();
+  internal::RecordGroupedGemmCall(
+      6.0 * static_cast<double>(h) * static_cast<double>(f) * static_cast<double>(rows),
+      micros);
+}
+
+// Packs chunk c's rows of the grouped tensor `grouped` ([R, h]) back into
+// chunk order — the layout they arrived in — and starts their return A2AV
+// to the source ranks. Called from chained stream-0 ops.
+std::unique_ptr<CommHandle> StartReturnChunk(Communicator* comm, int rank,
+                                             const EpFfnCache& cache,
+                                             PipelineScratch* scratch, const float* grouped,
+                                             float* ret_stage, int c, int64_t h) {
+  const int n = static_cast<int>(cache.recv_counts.size());
+  const int64_t base = cache.recv_chunk_base[static_cast<size_t>(c)];
+  const int64_t rows_c = cache.recv_chunk_base[static_cast<size_t>(c) + 1] - base;
+  ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      std::memcpy(ret_stage + (base + r) * h,
+                  grouped + cache.chunk_to_sorted[static_cast<size_t>(base + r)] * h,
+                  static_cast<size_t>(h) * sizeof(float));
+    }
+  });
+  std::vector<int64_t> counts(static_cast<size_t>(n));
+  for (int src = 0; src < n; ++src) {
+    counts[static_cast<size_t>(src)] =
+        cache.recv_chunk_counts[static_cast<size_t>(c * n + src)] * h;
+  }
+  return comm->StartAllToAllV<float>(rank, ret_stage + base * h, counts,
+                                     &scratch->ret_recv[static_cast<size_t>(c)],
+                                     /*num_chunks=*/1);
+}
+
+// Records the source side of a return wire after `tail`: per chunk a
+// chained stream-1 wait on handle c, issued once op `start_ids[c]` has
+// Started it, then a chained stream-0 `accumulate(base, rows, buf)` over
+// the chunk's landed rows — send rows [base, base + rows) in (dst, token,
+// slot) order, so each token sums its copies in (owner rank asc, slot asc)
+// order for every chunk count.
+template <typename AccumulateFn>
+void AddReturnChain(ExecGraph* graph, const EpFfnCache& cache,
+                    std::vector<std::unique_ptr<CommHandle>>* handles,
+                    PipelineScratch* scratch, const std::vector<int>& start_ids,
+                    ChainTail tail, const char* wait_name, const char* acc_name,
+                    const AccumulateFn& accumulate) {
+  const EpFfnCache* cache_p = &cache;
+  for (int c = 0; c < cache.pipeline_chunks; ++c) {
+    std::vector<int> wait_deps{start_ids[static_cast<size_t>(c)]};
+    if (tail.wait >= 0) {
+      wait_deps.push_back(tail.wait);
+    }
+    tail.wait = graph->AddComm(
+        ChunkOpName(wait_name, c), /*stream=*/1,
+        [handles, c] { return (*handles)[static_cast<size_t>(c)]->WaitAll(); }, wait_deps);
+    std::vector<int> acc_deps{tail.wait};
+    if (tail.s0 >= 0) {
+      acc_deps.push_back(tail.s0);
+    }
+    tail.s0 = graph->AddCompute(
+        ChunkOpName(acc_name, c),
+        [cache_p, scratch, accumulate, c] {
+          const int64_t base = cache_p->send_chunk_base[static_cast<size_t>(c)];
+          const int64_t rows_c = cache_p->send_chunk_base[static_cast<size_t>(c) + 1] - base;
+          if (rows_c > 0) {
+            accumulate(base, rows_c, scratch->ret_recv[static_cast<size_t>(c)].data());
+          }
+          return Status::Ok();
+        },
+        acc_deps, "combine");
+  }
 }
 
 // The fused kAllToAll forward (§4.2, Fig 7). Chunks partition the local
@@ -431,26 +589,6 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
     }
   }
 
-  // --- Per-chunk gather order: chunk c's grouped rows, ascending. Sorting
-  // each chunk's chunk_to_sorted slice groups its rows by (expert, source,
-  // token) — the grouped order restricted to the chunk — so chunk c's
-  // expert compute runs as ONE dense GEMM per expert over gathered rows
-  // instead of hundreds of 1-row GEMMs (within a (chunk, source) segment
-  // rows alternate experts in token order). Row gather + row-partitioned
-  // GEMM leaves every row's arithmetic untouched: bitwise identical. ---
-  const int64_t f = w1[0].dim(1);
-  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
-  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
-  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
-  int64_t* gather = WsInts("ep.chunk_gather", total_recv);
-  for (int c = 0; c < C; ++c) {
-    const int64_t chunk_begin = cache->recv_chunk_base[static_cast<size_t>(c)];
-    const int64_t chunk_end = cache->recv_chunk_base[static_cast<size_t>(c) + 1];
-    std::copy(cache->chunk_to_sorted.begin() + chunk_begin,
-              cache->chunk_to_sorted.begin() + chunk_end, gather + chunk_begin);
-    std::sort(gather + chunk_begin, gather + chunk_end);
-  }
-
   // --- Dispatch wire, expert compute, and combine wire on ONE exec graph.
   // Stream 0 (the rank thread) runs the declared order
   //   scatter[0], ffn_chunk[0], combine_pack[0], scatter[1], ...
@@ -459,11 +597,12 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
   // flight (the §4.2 pipeline). Packing (and FP8 quantizing) of dispatch
   // chunk i+1 already overlapped chunk i's wire inside
   // StartDispatchChunks. Combine Starts are issued from the CHAINED
-  // combine_pack ops — all on the calling rank thread, in declared order,
-  // identical on every rank — so the per-rank Start FIFO contract of
-  // async_comm.h holds exactly as in eager code. Within a chunk the send
-  // order is (dst, token, slot), so each token's combine accumulation runs
-  // in (owner rank asc, slot asc) order for every chunk count.
+  // combine_pack ops, in declared order on every rank.
+  const int64_t f = w1[0].dim(1);
+  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
+  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
+  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
+  const int64_t* gather = BuildChunkGather(*cache);
   cache->ffn_in = Tensor::Uninit({total_recv, h});
   cache->fc1_out = Tensor::Uninit({total_recv, f});
   cache->fc3_out = Tensor::Uninit({total_recv, f});
@@ -472,8 +611,8 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
   cache->returned_rows = Tensor::Uninit({total_send, h});
   PipelineScratch& scratch = TlsScratch();
   scratch.ret_recv.resize(static_cast<size_t>(C));
-  Workspace& ws = ThreadWorkspace();
-  float* ret_stage = ws.Floats("ep.a2a.combine", std::max<int64_t>(total_recv * h, 1));
+  float* ret_stage =
+      ThreadWorkspace().Floats("ep.a2a.combine", std::max<int64_t>(total_recv * h, 1));
   std::vector<std::unique_ptr<CommHandle>> ret_handles(static_cast<size_t>(C));
   std::vector<std::unique_ptr<CommHandle>> handles =
       StartDispatchChunks(ctx, *cache, x_local, h, &scratch);
@@ -484,175 +623,81 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
     std::vector<std::unique_ptr<CommHandle>>* ret_handles_p = &ret_handles;
     Communicator* comm = ctx.comm;
     const int rank = ctx.rank;
-    const bool fp8 = cache->fp8_wire;
-    const QuantConfig quant = cache->wire_quant;
     std::vector<int> pack_ids(static_cast<size_t>(C), -1);
-    int prev_dwait = -1;
-    int prev_s0 = -1;  // chains every stream-0 op in declared order
-    for (int c = 0; c < C; ++c) {
-      std::vector<int> wait_deps;
-      if (prev_dwait >= 0) {
-        wait_deps.push_back(prev_dwait);
-      }
-      CommHandle* handle = handles[static_cast<size_t>(c)].get();
-      const int dwait =
-          graph.AddComm("ep_dispatch_wait[" + std::to_string(c) + "]", /*stream=*/1,
-                        [handle] { return handle->WaitAll(); }, wait_deps);
-      std::vector<int> scatter_deps{dwait};
-      if (prev_s0 >= 0) {
-        scatter_deps.push_back(prev_s0);
-      }
-      const int scatter = graph.AddCompute(
-          "ep_scatter[" + std::to_string(c) + "]",
-          [cache_p, scratch_p, c, h, fp8, quant] {
-            return ScatterChunkRows(*cache_p, scratch_p, c, h, fp8, quant,
-                                    &cache_p->ffn_in);
-          },
-          scatter_deps, "scatter");
-      const int ffn = graph.AddCompute(
-          "ep_ffn_chunk[" + std::to_string(c) + "]",
-          [cache_p, gather, c, e_local, w1_loc, w3_loc, w2_loc, h, f] {
-            const int64_t base = cache_p->recv_chunk_base[static_cast<size_t>(c)];
-            const int64_t rows_c =
-                cache_p->recv_chunk_base[static_cast<size_t>(c) + 1] - base;
-            if (rows_c == 0) {
-              return Status::Ok();
-            }
-            const int64_t* gidx = gather + base;
-            Workspace& cws = ThreadWorkspace();
-            float* in_s = cws.Floats("ep.chunk.in", rows_c * h);
-            float* fc1_s = cws.Floats("ep.chunk.fc1", rows_c * f);
-            float* fc3_s = cws.Floats("ep.chunk.fc3", rows_c * f);
-            float* mid_s = cws.Floats("ep.chunk.mid", rows_c * f);
-            float* out_s = cws.Floats("ep.chunk.out", rows_c * h);
-            ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
-              for (int64_t r = r0; r < r1; ++r) {
-                std::memcpy(in_s + r * h, cache_p->ffn_in.data() + gidx[r] * h,
-                            static_cast<size_t>(h) * sizeof(float));
-              }
-            });
-            const std::vector<int64_t>& off = cache_p->local_offsets;
-            for (int64_t e = 0; e < e_local; ++e) {
-              const int64_t lo =
-                  std::lower_bound(gidx, gidx + rows_c, off[static_cast<size_t>(e)]) -
-                  gidx;
-              const int64_t hi =
-                  std::lower_bound(gidx, gidx + rows_c,
-                                   off[static_cast<size_t>(e + 1)]) -
-                  gidx;
-              const int64_t m = hi - lo;
-              if (m == 0) {
-                continue;
-              }
-              GemmBlocked(false, false, m, f, h, 1.0f, in_s + lo * h,
-                          w1_loc[e].data(), 0.0f, fc1_s + lo * f);
-              GemmBlocked(false, false, m, f, h, 1.0f, in_s + lo * h,
-                          w3_loc[e].data(), 0.0f, fc3_s + lo * f);
-              float* gated = mid_s + lo * f;
-              const float* gate = fc1_s + lo * f;
-              const float* linear = fc3_s + lo * f;
-              for (int64_t i = 0; i < m * f; ++i) {
-                gated[i] = gate[i] * Sigmoid(gate[i]) * linear[i];
-              }
-              GemmBlocked(false, false, m, h, f, 1.0f, gated, w2_loc[e].data(),
-                          0.0f, out_s + lo * h);
-            }
-            ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
-              for (int64_t r = r0; r < r1; ++r) {
-                const int64_t g = gidx[r];
-                std::memcpy(cache_p->fc1_out.data() + g * f, fc1_s + r * f,
-                            static_cast<size_t>(f) * sizeof(float));
-                std::memcpy(cache_p->fc3_out.data() + g * f, fc3_s + r * f,
-                            static_cast<size_t>(f) * sizeof(float));
-                std::memcpy(cache_p->fc2_in.data() + g * f, mid_s + r * f,
-                            static_cast<size_t>(f) * sizeof(float));
-                std::memcpy(cache_p->fc2_out.data() + g * h, out_s + r * h,
-                            static_cast<size_t>(h) * sizeof(float));
-              }
-            });
-            return Status::Ok();
-          },
-          {scatter}, "gemm");
-      const int pack = graph.AddCompute(
-          "ep_combine_pack[" + std::to_string(c) + "]",
-          [cache_p, scratch_p, ret_handles_p, comm, rank, ret_stage, c, h] {
-            const int n_ranks = static_cast<int>(cache_p->recv_counts.size());
-            const int64_t base = cache_p->recv_chunk_base[static_cast<size_t>(c)];
-            const int64_t rows_c =
-                cache_p->recv_chunk_base[static_cast<size_t>(c) + 1] - base;
-            ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
-              for (int64_t r = r0; r < r1; ++r) {
-                std::memcpy(
-                    ret_stage + (base + r) * h,
-                    cache_p->fc2_out.data() +
-                        cache_p->chunk_to_sorted[static_cast<size_t>(base + r)] * h,
-                    static_cast<size_t>(h) * sizeof(float));
-              }
-            });
-            std::vector<int64_t> counts(static_cast<size_t>(n_ranks));
-            for (int src = 0; src < n_ranks; ++src) {
-              counts[static_cast<size_t>(src)] =
-                  cache_p->recv_chunk_counts[static_cast<size_t>(c * n_ranks + src)] *
-                  h;
-            }
-            (*ret_handles_p)[static_cast<size_t>(c)] = comm->StartAllToAllV<float>(
-                rank, ret_stage + base * h, counts,
-                &scratch_p->ret_recv[static_cast<size_t>(c)], /*num_chunks=*/1);
-            return Status::Ok();
-          },
-          {ffn}, "pack");
-      pack_ids[static_cast<size_t>(c)] = pack;
-      prev_dwait = dwait;
-      prev_s0 = pack;
-    }
+    const ChainTail tail = AddScatterChain(
+        &graph, *cache, handles, &scratch, h, cache->fp8_wire, &cache->ffn_in,
+        "ep_dispatch_wait", "ep_scatter", [&](int c, int scatter) {
+          const int ffn = graph.AddCompute(
+              ChunkOpName("ep_ffn_chunk", c),
+              [cache_p, gather, c, w1_loc, w3_loc, w2_loc, h, f] {
+                const int64_t base = cache_p->recv_chunk_base[static_cast<size_t>(c)];
+                const int64_t rows_c =
+                    cache_p->recv_chunk_base[static_cast<size_t>(c) + 1] - base;
+                if (rows_c == 0) {
+                  return Status::Ok();
+                }
+                const int64_t* gidx = gather + base;
+                Workspace& cws = ThreadWorkspace();
+                float* in_s = cws.Floats("ep.chunk.in", rows_c * h);
+                float* fc1_s = cws.Floats("ep.chunk.fc1", rows_c * f);
+                float* fc3_s = cws.Floats("ep.chunk.fc3", rows_c * f);
+                float* mid_s = cws.Floats("ep.chunk.mid", rows_c * f);
+                float* out_s = cws.Floats("ep.chunk.out", rows_c * h);
+                RunChunkExperts(
+                    gidx, rows_c, cache_p->local_offsets, h, f,
+                    {{cache_p->ffn_in.data(), in_s, h}},
+                    [&](int64_t e, int64_t lo, int64_t m) {
+                      GemmBlocked(false, false, m, f, h, 1.0f, in_s + lo * h,
+                                  w1_loc[e].data(), 0.0f, fc1_s + lo * f);
+                      GemmBlocked(false, false, m, f, h, 1.0f, in_s + lo * h,
+                                  w3_loc[e].data(), 0.0f, fc3_s + lo * f);
+                      float* gated = mid_s + lo * f;
+                      const float* gate = fc1_s + lo * f;
+                      const float* linear = fc3_s + lo * f;
+                      for (int64_t i = 0; i < m * f; ++i) {
+                        gated[i] = gate[i] * Sigmoid(gate[i]) * linear[i];
+                      }
+                      GemmBlocked(false, false, m, h, f, 1.0f, gated, w2_loc[e].data(),
+                                  0.0f, out_s + lo * h);
+                    });
+                CopyChunkRows(gidx, rows_c, /*scatter=*/true,
+                              {{fc1_s, cache_p->fc1_out.data(), f},
+                               {fc3_s, cache_p->fc3_out.data(), f},
+                               {mid_s, cache_p->fc2_in.data(), f},
+                               {out_s, cache_p->fc2_out.data(), h}});
+                return Status::Ok();
+              },
+              {scatter}, "gemm");
+          pack_ids[static_cast<size_t>(c)] = graph.AddCompute(
+              ChunkOpName("ep_combine_pack", c),
+              [cache_p, scratch_p, ret_handles_p, comm, rank, ret_stage, c, h] {
+                (*ret_handles_p)[static_cast<size_t>(c)] =
+                    StartReturnChunk(comm, rank, *cache_p, scratch_p,
+                                     cache_p->fc2_out.data(), ret_stage, c, h);
+                return Status::Ok();
+              },
+              {ffn}, "pack");
+          return pack_ids[static_cast<size_t>(c)];
+        });
     const RoutingResult* routing_p = &routing;
     float* y = y_local.data();
-    int prev_cwait = prev_dwait;
-    int prev_acc = prev_s0;
-    for (int c = 0; c < C; ++c) {
-      std::vector<int> cwait_deps{pack_ids[static_cast<size_t>(c)]};
-      if (prev_cwait >= 0) {
-        cwait_deps.push_back(prev_cwait);
-      }
-      const int cwait = graph.AddComm(
-          "ep_combine_wait[" + std::to_string(c) + "]", /*stream=*/1,
-          [ret_handles_p, c] {
-            return (*ret_handles_p)[static_cast<size_t>(c)]->WaitAll();
-          },
-          cwait_deps);
-      std::vector<int> acc_deps{cwait};
-      if (prev_acc >= 0) {
-        acc_deps.push_back(prev_acc);
-      }
-      const int acc = graph.AddCompute(
-          "ep_combine[" + std::to_string(c) + "]",
-          [cache_p, scratch_p, routing_p, y, c, h] {
-            const int64_t base = cache_p->send_chunk_base[static_cast<size_t>(c)];
-            const int64_t rows_c =
-                cache_p->send_chunk_base[static_cast<size_t>(c) + 1] - base;
-            if (rows_c == 0) {
-              return Status::Ok();
-            }
-            const float* buf = scratch_p->ret_recv[static_cast<size_t>(c)].data();
-            std::memcpy(cache_p->returned_rows.data() + base * h, buf,
-                        static_cast<size_t>(rows_c * h) * sizeof(float));
-            for (int64_t j = 0; j < rows_c; ++j) {
-              const int64_t p = base + j;
-              const int64_t t = cache_p->send_token[static_cast<size_t>(p)];
-              const float weight = routing_p->combine_weight.At(
-                  t, cache_p->send_slot[static_cast<size_t>(p)]);
-              const float* row = buf + j * h;
-              float* out = y + t * h;
-              for (int64_t col = 0; col < h; ++col) {
-                out[col] += weight * row[col];
-              }
-            }
-            return Status::Ok();
-          },
-          acc_deps, "combine");
-      prev_cwait = cwait;
-      prev_acc = acc;
-    }
+    AddReturnChain(&graph, *cache, &ret_handles, &scratch, pack_ids, tail, "ep_combine_wait",
+                   "ep_combine",
+                   [cache_p, routing_p, y, h](int64_t base, int64_t rows_c, const float* buf) {
+                     std::memcpy(cache_p->returned_rows.data() + base * h, buf,
+                                 static_cast<size_t>(rows_c * h) * sizeof(float));
+                     for (int64_t j = 0; j < rows_c; ++j) {
+                       const int64_t p = base + j;
+                       const int64_t t = cache_p->send_token[static_cast<size_t>(p)];
+                       const float weight = routing_p->combine_weight.At(
+                           t, cache_p->send_slot[static_cast<size_t>(p)]);
+                       const float* row = buf + j * h;
+                       float* out = y + t * h;
+                       for (int64_t col = 0; col < h; ++col) {
+                         out[col] += weight * row[col];
+                       }
+                     }
+                   });
     const ExecResult result = graph.Execute(/*num_streams=*/2);
     handles.clear();
     ret_handles.clear();
@@ -665,9 +710,18 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
 }
 
 // Backward of the fused pipeline: both wire directions run as per-chunk
-// handles on exec graphs (FP32 — only the forward dispatch optionally
-// quantizes). Accumulation orders match the forward's: dW rows in grouped
-// order, dx per token in (owner rank asc, slot asc) order.
+// handles on ONE exec graph shaped like the forward's (FP32 — only the
+// forward dispatch optionally quantizes). Stream 0 runs the declared order
+//   dy_scatter[0], dgrad[0], dy_scatter[1], dgrad[1], ..., wgrad,
+//   dx_acc[0], dx_acc[1], ...
+// while stream 1 waits chunks off both wires. dgrad[c] computes chunk c's
+// input grads only (dmid = dy·W2ᵀ, the SwiGLU backward, then
+// dx = dgate·W1ᵀ + dlinear·W3ᵀ) and Starts return chunk c, so the dx
+// return of chunk c overlaps the dgrad of chunks c+1.. and the deferred
+// whole-expert weight gradients (wgrad) — the return wire no longer waits
+// for the dW GEMMs. Bitwise: dx rows are row-split safe, exactly as in the
+// forward; dW keeps its full-row reduction in grouped order; dx accumulates
+// per token in (owner rank asc, slot asc) order.
 EpFfnGrads PipelinedBackwardA2A(const ShardContext& ctx, const ModelConfig& config,
                                 const std::vector<Tensor>& w1,
                                 const std::vector<Tensor>& w3,
@@ -676,6 +730,7 @@ EpFfnGrads PipelinedBackwardA2A(const ShardContext& ctx, const ModelConfig& conf
   const int n = ctx.size();
   const int64_t e_local = config.num_experts / n;
   const int64_t h = config.hidden;
+  const int64_t f = w1[0].dim(1);
   const int64_t t_local = dy_local.dim(0);
   const int64_t k = routing.top_k;
   const int C = cache.pipeline_chunks;
@@ -726,104 +781,120 @@ EpFfnGrads PipelinedBackwardA2A(const ShardContext& ctx, const ModelConfig& conf
           &scratch.recv_f32[static_cast<size_t>(c)], /*num_chunks=*/1);
     }
   }
+
+  // Grouped-order grads: dfc2_out lands per chunk; dgate/dlinear feed the
+  // deferred wgrad; dffn_in (the input grads) stages the dx return.
+  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
+  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
+  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
+  const int64_t* gather = BuildChunkGather(cache);
   Tensor dfc2_out = Tensor::Uninit({total_recv, h});
-  {
-    ExecGraph graph;
-    AddScatterChain(&graph, cache, handles, &scratch, h, /*fp8=*/false, &dfc2_out);
-    const ExecResult result = graph.Execute(/*num_streams=*/2);
-    handles.clear();
-    if (!result.status.ok()) {
-      return grads;
-    }
-  }
-
-  // --- Expert backward chain (span weights, load-balanced tile queue). ---
-  GroupedGemmGrads fc2_grads =
-      GroupedGemmBackward(dfc2_out, cache.fc2_in, cache.local_offsets,
-                          w2.data() + ctx.rank * e_local, e_local);
-  grads.dw2 = std::move(fc2_grads.dweights);
-  SwiGluGrads swiglu_grads = SwiGluBackward(fc2_grads.dx, cache.fc1_out, cache.fc3_out);
-  GroupedGemmGrads fc1_grads =
-      GroupedGemmBackward(swiglu_grads.dgate, cache.ffn_in, cache.local_offsets,
-                          w1.data() + ctx.rank * e_local, e_local);
-  GroupedGemmGrads fc3_grads =
-      GroupedGemmBackward(swiglu_grads.dlinear, cache.ffn_in, cache.local_offsets,
-                          w3.data() + ctx.rank * e_local, e_local);
-  grads.dw1 = std::move(fc1_grads.dweights);
-  grads.dw3 = std::move(fc3_grads.dweights);
-  Tensor dffn_in = Add(fc1_grads.dx, fc3_grads.dx);
-
-  // --- Return the input grads chunk by chunk, accumulating into dx_local
-  // as chunks land (per token the order is again (owner asc, slot asc)). ---
+  Tensor dgate = Tensor::Uninit({total_recv, f});
+  Tensor dlinear = Tensor::Uninit({total_recv, f});
+  float* dffn_in = ws.Floats("ep.bwd.dx", std::max<int64_t>(total_recv * h, 1));
   float* ret_stage = ws.Floats("ep.a2a.combine", std::max<int64_t>(total_recv * h, 1));
   std::vector<std::unique_ptr<CommHandle>> ret_handles(static_cast<size_t>(C));
-  {
-    std::vector<int64_t> counts(static_cast<size_t>(n));
-    for (int c = 0; c < C; ++c) {
-      const int64_t base = cache.recv_chunk_base[static_cast<size_t>(c)];
-      const int64_t rows_c = cache.recv_chunk_base[static_cast<size_t>(c) + 1] - base;
-      ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          std::memcpy(ret_stage + (base + r) * h,
-                      dffn_in.data() +
-                          cache.chunk_to_sorted[static_cast<size_t>(base + r)] * h,
-                      static_cast<size_t>(h) * sizeof(float));
-        }
-      });
-      for (int src = 0; src < n; ++src) {
-        counts[static_cast<size_t>(src)] =
-            cache.recv_chunk_counts[static_cast<size_t>(c * n + src)] * h;
-      }
-      ret_handles[static_cast<size_t>(c)] = ctx.comm->StartAllToAllV<float>(
-          ctx.rank, ret_stage + base * h, counts,
-          &scratch.ret_recv[static_cast<size_t>(c)], /*num_chunks=*/1);
-    }
-  }
   {
     ExecGraph graph;
     const EpFfnCache* cache_p = &cache;
     PipelineScratch* scratch_p = &scratch;
+    std::vector<std::unique_ptr<CommHandle>>* ret_handles_p = &ret_handles;
+    Communicator* comm = ctx.comm;
+    const int rank = ctx.rank;
+    const float* dfc2_out_p = dfc2_out.data();
+    float* dgate_p = dgate.data();
+    float* dlinear_p = dlinear.data();
+    std::vector<int> dgrad_ids(static_cast<size_t>(C), -1);
+    ChainTail tail = AddScatterChain(
+        &graph, cache, handles, &scratch, h, /*fp8=*/false, &dfc2_out, "ep_dy_wait",
+        "ep_dy_scatter", [&](int c, int scatter) {
+          dgrad_ids[static_cast<size_t>(c)] = graph.AddCompute(
+              ChunkOpName("ep_dgrad", c),
+              [cache_p, scratch_p, ret_handles_p, comm, rank, gather, dfc2_out_p, dgate_p,
+               dlinear_p, dffn_in, ret_stage, w1_loc, w3_loc, w2_loc, c, h, f] {
+                const int64_t base = cache_p->recv_chunk_base[static_cast<size_t>(c)];
+                const int64_t rows_c =
+                    cache_p->recv_chunk_base[static_cast<size_t>(c) + 1] - base;
+                if (rows_c > 0) {
+                  const int64_t* gidx = gather + base;
+                  // The forward's five staging slots, each updated in place
+                  // once its old contents are dead: in holds dy, then
+                  // dlinear·W3ᵀ; fc1 the gate; fc3 the linear, then dlinear;
+                  // mid dy·W2ᵀ, then dgate; out dx.
+                  Workspace& cws = ThreadWorkspace();
+                  float* dy_s = cws.Floats("ep.chunk.in", rows_c * h);
+                  float* gate_s = cws.Floats("ep.chunk.fc1", rows_c * f);
+                  float* linear_s = cws.Floats("ep.chunk.fc3", rows_c * f);
+                  float* dgate_s = cws.Floats("ep.chunk.mid", rows_c * f);
+                  float* dx_s = cws.Floats("ep.chunk.out", rows_c * h);
+                  RunChunkExperts(
+                      gidx, rows_c, cache_p->local_offsets, h, f,
+                      {{dfc2_out_p, dy_s, h},
+                       {cache_p->fc1_out.data(), gate_s, f},
+                       {cache_p->fc3_out.data(), linear_s, f}},
+                      [&](int64_t e, int64_t lo, int64_t m) {
+                        float* dgate_e = dgate_s + lo * f;
+                        GemmBlocked(false, true, m, f, h, 1.0f, dy_s + lo * h,
+                                    w2_loc[e].data(), 0.0f, dgate_e);
+                        const float* gate = gate_s + lo * f;
+                        float* linear = linear_s + lo * f;
+                        // Same expressions as SwiGluBackward (tensor_ops.cc).
+                        for (int64_t i = 0; i < m * f; ++i) {
+                          const float sig = Sigmoid(gate[i]);
+                          const float silu = gate[i] * sig;
+                          const float dsilu = sig * (1.0f + gate[i] * (1.0f - sig));
+                          const float dmid = dgate_e[i];
+                          dgate_e[i] = dmid * linear[i] * dsilu;
+                          linear[i] = dmid * silu;
+                        }
+                        float* dx = dx_s + lo * h;
+                        float* dx3 = dy_s + lo * h;
+                        GemmBlocked(false, true, m, h, f, 1.0f, dgate_e, w1_loc[e].data(),
+                                    0.0f, dx);
+                        GemmBlocked(false, true, m, h, f, 1.0f, linear, w3_loc[e].data(),
+                                    0.0f, dx3);
+                        for (int64_t i = 0; i < m * h; ++i) {
+                          dx[i] += dx3[i];
+                        }
+                      });
+                  CopyChunkRows(gidx, rows_c, /*scatter=*/true,
+                                {{dgate_s, dgate_p, f}, {linear_s, dlinear_p, f},
+                                 {dx_s, dffn_in, h}});
+                }
+                (*ret_handles_p)[static_cast<size_t>(c)] = StartReturnChunk(
+                    comm, rank, *cache_p, scratch_p, dffn_in, ret_stage, c, h);
+                return Status::Ok();
+              },
+              {scatter}, "gemm");
+          return dgrad_ids[static_cast<size_t>(c)];
+        });
+    tail.s0 = graph.AddCompute(
+        "ep_wgrad",
+        [&grads, &cache, &dfc2_out, &dgate, &dlinear, e_local] {
+          grads.dw2 = GroupedGemmWeightGrads(dfc2_out, cache.fc2_in, cache.local_offsets,
+                                             e_local);
+          grads.dw1 =
+              GroupedGemmWeightGrads(dgate, cache.ffn_in, cache.local_offsets, e_local);
+          grads.dw3 =
+              GroupedGemmWeightGrads(dlinear, cache.ffn_in, cache.local_offsets, e_local);
+          return Status::Ok();
+        },
+        {tail.s0}, "gemm");
     float* dx = grads.dx_local.data();
-    int prev_wait = -1;
-    int prev_acc = -1;
-    for (int c = 0; c < C; ++c) {
-      std::vector<int> wait_deps;
-      if (prev_wait >= 0) {
-        wait_deps.push_back(prev_wait);
-      }
-      CommHandle* handle = ret_handles[static_cast<size_t>(c)].get();
-      const int wait =
-          graph.AddComm("ep_dx_wait[" + std::to_string(c) + "]", /*stream=*/1,
-                        [handle] { return handle->WaitAll(); }, wait_deps);
-      std::vector<int> deps{wait};
-      if (prev_acc >= 0) {
-        deps.push_back(prev_acc);
-      }
-      const int acc = graph.AddCompute(
-          "ep_dx_acc[" + std::to_string(c) + "]",
-          [cache_p, scratch_p, dx, c, h] {
-            const int64_t base = cache_p->send_chunk_base[static_cast<size_t>(c)];
-            const int64_t rows_c =
-                cache_p->send_chunk_base[static_cast<size_t>(c) + 1] - base;
-            if (rows_c == 0) {
-              return Status::Ok();
-            }
-            const float* buf = scratch_p->ret_recv[static_cast<size_t>(c)].data();
-            for (int64_t j = 0; j < rows_c; ++j) {
-              const int64_t t = cache_p->send_token[static_cast<size_t>(base + j)];
-              const float* row = buf + j * h;
-              float* out = dx + t * h;
-              for (int64_t col = 0; col < h; ++col) {
-                out[col] += row[col];
-              }
-            }
-            return Status::Ok();
-          },
-          deps, "combine");
-      prev_wait = wait;
-      prev_acc = acc;
-    }
+    AddReturnChain(&graph, cache, &ret_handles, &scratch, dgrad_ids, tail, "ep_dx_wait",
+                   "ep_dx_acc",
+                   [cache_p, dx, h](int64_t base, int64_t rows_c, const float* buf) {
+                     for (int64_t j = 0; j < rows_c; ++j) {
+                       const int64_t t = cache_p->send_token[static_cast<size_t>(base + j)];
+                       const float* row = buf + j * h;
+                       float* out = dx + t * h;
+                       for (int64_t col = 0; col < h; ++col) {
+                         out[col] += row[col];
+                       }
+                     }
+                   });
     graph.Execute(/*num_streams=*/2);
+    handles.clear();
     ret_handles.clear();
   }
   return grads;
@@ -1029,7 +1100,8 @@ void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,
       cache->ffn_in = Tensor::Uninit({total_recv, h});
       ExecGraph graph;
       AddScatterChain(&graph, *cache, handles, &scratch, h, cache->fp8_wire,
-                      &cache->ffn_in);
+                      &cache->ffn_in, "ep_dispatch_wait", "ep_scatter",
+                      [](int, int scatter) { return scatter; });
       graph.Execute(/*num_streams=*/2);
       handles.clear();
     } else {

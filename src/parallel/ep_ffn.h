@@ -21,7 +21,14 @@
 // StartAllToAllV handles recorded on an ExecGraph so packing/quantizing
 // chunk i+1 overlaps the transfer of chunk i in both directions, and each
 // local expert's FC1→SwiGLU→FC2 chain fires as soon as its last input chunk
-// lands — expert compute hides the remaining dispatch wire. An optional
+// lands — expert compute hides the remaining dispatch wire. The backward
+// is one exec graph of the same shape: as each dy chunk lands, a dgrad op
+// computes that chunk's input grads only (dy·W2ᵀ, the SwiGLU backward,
+// dgate·W1ᵀ + dlinear·W3ᵀ) and starts its dx return chunk; the weight
+// gradients run once, after the last dgrad, while the return chunks are
+// on the wire. dx rows are row-split safe, dW keeps its whole-expert row
+// reduction in grouped order and dx its per-token accumulation order, so
+// the schedule changes no bit. An optional
 // quantize-on-pack FP8 mode calls QuantizeInto per row straight into the
 // send staging (codes + per-token scale share one wire payload) instead of
 // running a separate quantization pre-pass. Chunks partition the LOCAL

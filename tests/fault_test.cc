@@ -28,8 +28,11 @@
 #include "src/model/checkpoint.h"
 #include "src/model/config.h"
 #include "src/model/lm.h"
+#include "src/model/router.h"
+#include "src/parallel/ep_ffn.h"
 #include "src/sim/fault_sim.h"
 #include "src/sim/trace_export.h"
+#include "src/tensor/tensor_ops.h"
 
 namespace msmoe {
 namespace {
@@ -365,6 +368,101 @@ TEST(AsyncCommFaultTest, BitFlipThroughChunkedOpCorruptsExactlyOneBit) {
   }
   EXPECT_EQ(differing_bits, 1);
   EXPECT_EQ(plan.bit_flips_fired(), 1);
+}
+
+// --- Fused EP pipeline under a crash ----------------------------------------
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// The kAllToAll backward Starts its dx return chunks from inside exec-graph
+// ops, so a rank that dies issuing return chunk 1 aborts graphs in which
+// the later Starts never run on some ranks. Every rank must still return
+// (peer comm threads unwind instead of waiting on the missing Starts), see
+// the abort, and after RecoveryBarrier rerun the backward bitwise equal to
+// a fault-free run.
+TEST(EpPipelineFaultTest, CrashDuringDxReturnAbortsEveryRankThenRerunsBitwise) {
+  const int n = 4;
+  const int chunks = 4;
+  ModelConfig config = TinyMoeConfig(8, 2);
+  config.hidden = 16;
+  config.ffn_hidden = 12;
+  const int64_t t_local = 8;
+  Rng rng(23);
+  std::vector<Tensor> w1, w3, w2;
+  for (int64_t e = 0; e < config.num_experts; ++e) {
+    w1.push_back(Tensor::Randn({config.hidden, config.ffn_hidden}, rng, 0.0f, 0.2f));
+    w3.push_back(Tensor::Randn({config.hidden, config.ffn_hidden}, rng, 0.0f, 0.2f));
+    w2.push_back(Tensor::Randn({config.ffn_hidden, config.hidden}, rng, 0.0f, 0.2f));
+  }
+  const Tensor w_gate = Tensor::Randn({config.hidden, config.num_experts}, rng, 0.0f, 0.3f);
+  const Tensor x_full = Tensor::Randn({n * t_local, config.hidden}, rng);
+  const Tensor dy_full = Tensor::Randn({n * t_local, config.hidden}, rng);
+  RouterConfig router;
+  router.num_experts = config.num_experts;
+  router.top_k = config.top_k;
+
+  const EpPipelineConfig saved = GetEpPipelineConfig();
+  EpPipelineConfig pc;
+  pc.num_chunks = chunks;
+  SetEpPipelineConfig(pc);
+  FlatCommunicator comm(n);
+  comm.SetCollectiveTimeout(10000.0);  // backstop: never a hang
+  std::vector<RoutingResult> routings(static_cast<size_t>(n));
+  std::vector<EpFfnCache> caches(static_cast<size_t>(n));
+  const auto backward = [&](int rank) {
+    const size_t r = static_cast<size_t>(rank);
+    ShardContext ctx{&comm, rank};
+    return EpFfnBackward(ctx, config, EpDispatchMode::kAllToAll, w1, w3, w2,
+                         dy_full.SliceRows(rank * t_local, (rank + 1) * t_local),
+                         routings[r], caches[r]);
+  };
+  std::vector<EpFfnGrads> clean(static_cast<size_t>(n));
+  RunOnRanks(n, [&](int rank) {
+    const size_t r = static_cast<size_t>(rank);
+    ShardContext ctx{&comm, rank};
+    Tensor x_local = x_full.SliceRows(rank * t_local, (rank + 1) * t_local);
+    routings[r] = RouteTokens(MatMul(x_local, w_gate), router);
+    EpFfnForward(ctx, config, EpDispatchMode::kAllToAll, w1, w3, w2, x_local, routings[r],
+                 &caches[r]);
+    clean[r] = backward(rank);
+  });
+
+  // Op indices count from the plan's installation: a backward issues
+  // `chunks` dy Starts, then `chunks` return Starts.
+  FaultPlan plan(31);
+  plan.AddCrash(/*rank=*/2, /*at_op=*/chunks + 1);
+  comm.set_fault_plan(&plan);
+  std::vector<Status> failed(static_cast<size_t>(n));
+  std::vector<EpFfnGrads> rerun(static_cast<size_t>(n));
+  const auto start = Clock::now();
+  RunOnRanks(n, [&](int rank) {
+    backward(rank);
+    failed[static_cast<size_t>(rank)] = comm.GroupStatus();
+    comm.RecoveryBarrier(rank);
+    rerun[static_cast<size_t>(rank)] = backward(rank);
+  });
+  EXPECT_LT(ElapsedMs(start), 60000.0);
+  comm.set_fault_plan(nullptr);
+  SetEpPipelineConfig(saved);
+
+  EXPECT_EQ(plan.crashes_fired(), 1);
+  EXPECT_TRUE(comm.GroupStatus().ok());
+  for (int rank = 0; rank < n; ++rank) {
+    const size_t r = static_cast<size_t>(rank);
+    EXPECT_EQ(failed[r].code(), StatusCode::kAborted) << rank;
+    EXPECT_NE(failed[r].message().find("rank 2"), std::string::npos) << rank;
+    EXPECT_TRUE(BitwiseEqual(rerun[r].dx_local, clean[r].dx_local)) << rank;
+    EXPECT_TRUE(BitwiseEqual(rerun[r].dcombine_local, clean[r].dcombine_local)) << rank;
+    ASSERT_EQ(rerun[r].dw1.size(), clean[r].dw1.size()) << rank;
+    for (size_t e = 0; e < clean[r].dw1.size(); ++e) {
+      EXPECT_TRUE(BitwiseEqual(rerun[r].dw1[e], clean[r].dw1[e])) << rank << " " << e;
+      EXPECT_TRUE(BitwiseEqual(rerun[r].dw3[e], clean[r].dw3[e])) << rank << " " << e;
+      EXPECT_TRUE(BitwiseEqual(rerun[r].dw2[e], clean[r].dw2[e])) << rank << " " << e;
+    }
+  }
 }
 
 // --- Straggler detection ----------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "src/model/moe_layer.h"
 #include "src/model/optimizer.h"
 #include "src/model/router.h"
+#include "src/tensor/gemm_kernel.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace msmoe {
@@ -371,6 +373,37 @@ TEST(GroupedGemmTest, BackwardMatchesPerExpert) {
       EXPECT_NEAR(grads.dx.At(r, c), ref0.da.At(r, c), 1e-6);
     }
   }
+}
+
+// The dW half on its own (the EP pipeline defers it behind the dx return):
+// bitwise the full backward's dweights, zeros for an expert with no rows,
+// and one forward's worth of FLOPs in KernelStats (the full backward
+// records two).
+TEST(GroupedGemmTest, WeightGradsMatchFullBackwardBitwise) {
+  Rng rng(12);
+  const int64_t h = 7, f = 5;
+  std::vector<Tensor> weights;
+  for (int e = 0; e < 3; ++e) {
+    weights.push_back(Tensor::Randn({h, f}, rng));
+  }
+  Tensor x = Tensor::Randn({150, h}, rng);  // expert 2 spans several row panels
+  Tensor dy = Tensor::Randn({150, f}, rng);
+  const std::vector<int64_t> offsets = {0, 9, 9, 150};
+  const GroupedGemmGrads full = GroupedGemmBackward(dy, x, offsets, weights);
+  const KernelStatsSnapshot before = GetKernelStats();
+  const std::vector<Tensor> dweights = GroupedGemmWeightGrads(dy, x, offsets, 3);
+  const KernelStatsSnapshot after = GetKernelStats();
+  ASSERT_EQ(dweights.size(), 3u);
+  for (size_t e = 0; e < 3; ++e) {
+    ASSERT_EQ(dweights[e].shape(), full.dweights[e].shape()) << e;
+    EXPECT_EQ(std::memcmp(dweights[e].data(), full.dweights[e].data(),
+                          static_cast<size_t>(h * f) * sizeof(float)),
+              0)
+        << e;
+  }
+  EXPECT_EQ(dweights[1].MaxAbs(), 0.0);
+  EXPECT_DOUBLE_EQ(after.grouped_gemm_flops - before.grouped_gemm_flops, 2.0 * 150 * h * f);
+  EXPECT_EQ(after.grouped_gemm_calls - before.grouped_gemm_calls, 1u);
 }
 
 TEST(MoeLayerTest, ForwardShapes) {

@@ -16,6 +16,7 @@
 #include "src/parallel/sp_attention.h"
 #include "src/parallel/tp_attention.h"
 #include "src/parallel/tp_ffn.h"
+#include "src/tensor/gemm_kernel.h"
 #include "src/tensor/tensor_ops.h"
 #include "tests/ref_ffn.h"
 
@@ -479,6 +480,50 @@ TEST_F(FfnParallelTest, BothEpModesAgree) {
     EXPECT_LT(y_a2a[static_cast<size_t>(rank)].RelativeL2Diff(y_ag[static_cast<size_t>(rank)]),
               1e-5);
   }
+}
+
+// The fused kAllToAll pipeline runs its expert GEMMs per chunk outside
+// GroupedGemm and must still account for them in KernelStats: one forward
+// plus backward across 4 ranks moves the grouped-GEMM FLOPs by exactly
+// 6·h·f per kept copy (three forward GEMMs) plus 12·h·f per kept copy (the
+// dx and dW GEMMs of each).
+TEST_F(FfnParallelTest, PipelinedA2ARecordsExpertGemmFlops) {
+  const int n = 4;
+  const int64_t t_local = x_full_.dim(0) / n;
+  const int64_t h = config_.hidden;
+  const int64_t f = config_.ffn_hidden;
+  std::vector<RoutingResult> routings;
+  int64_t kept = 0;
+  for (int rank = 0; rank < n; ++rank) {
+    routings.push_back(RouteTokens(
+        MatMul(x_full_.SliceRows(rank * t_local, (rank + 1) * t_local), w_gate_), router_));
+    for (uint8_t dropped : routings.back().dropped) {
+      kept += dropped == 0 ? 1 : 0;
+    }
+  }
+  ASSERT_GT(kept, 0);
+  const EpPipelineConfig saved = GetEpPipelineConfig();
+  EpPipelineConfig pc;
+  pc.num_chunks = 4;
+  SetEpPipelineConfig(pc);
+  FlatCommunicator group(n);
+  const KernelStatsSnapshot before = GetKernelStats();
+  RunOnRanks(n, [&](int rank) {
+    ShardContext ctx{&group, rank};
+    const RoutingResult& routing = routings[static_cast<size_t>(rank)];
+    Tensor x_local = x_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
+    Tensor dy_local = dy_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
+    EpFfnCache cache;
+    EpFfnForward(ctx, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_, x_local, routing,
+                 &cache);
+    EpFfnBackward(ctx, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_, dy_local, routing,
+                  cache);
+  });
+  const KernelStatsSnapshot after = GetKernelStats();
+  SetEpPipelineConfig(saved);
+  const double per_copy = static_cast<double>(h * f);
+  EXPECT_DOUBLE_EQ(after.grouped_gemm_flops - before.grouped_gemm_flops,
+                   (6.0 + 12.0) * per_copy * static_cast<double>(kept));
 }
 
 TEST(GradSyncTest, Bf16AllToAllCloseToFp32) {

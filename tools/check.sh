@@ -5,15 +5,19 @@
 # compute backend. The collectives run real thread ranks over shared
 # buffers, so comm_test / kernel_test / parallel_test / telemetry_test /
 # fault_test / elastic_test / fused_ops_test / exec_graph_test / property_test
-# / macro_layer_test under TSan are the races-or-not verdict for the whole
+# / macro_layer_test / distributed_lm_test under TSan are the races-or-not
+# verdict for the whole
 # substrate (fused_ops_test hammers the chunked async pipelines;
 # exec_graph_test hammers the runtime task-graph executor across streams and
 # randomized schedules; property_test sweeps the fused EP dispatch pipeline
 # across worker and chunk counts; macro_layer_test runs that pipeline inside
-# the full SP+EP layer, with and without selective rematerialization);
+# the full SP+EP layer, with and without selective rematerialization;
+# distributed_lm_test runs the pipelined EP forward and backward inside the
+# full multi-layer SP+EP LM chain);
 # fault_test and the recovery bench under ASan cover the checkpoint IO and
 # buffer-corruption paths, and parallel_test / property_test /
-# macro_layer_test under ASan cover the Workspace-staged dispatch packing;
+# macro_layer_test / distributed_lm_test under ASan cover the
+# Workspace-staged dispatch packing and the per-chunk expert staging;
 # the perf smoke fails if the blocked GEMM kernel ever regresses
 # below the naive reference, the overlap smoke fails if the fused
 # all-gather+GEMM pipeline stops beating the unfused sequence, and the
@@ -25,8 +29,9 @@
 # allocator again or pooled storage changes a bit of the numerics
 # (bench_memory --check), and the dispatch smoke fails if the chunked EP
 # dispatch pipeline stops beating its own one-chunk run by 1.3x under a
-# calibrated wire, stops being bitwise identical to it, or allocates in
-# steady state (bench_fig7_dispatch --check). obs_test under TSan is the verdict on the
+# calibrated wire, stops being bitwise identical to it (forward output and
+# backward grads), or allocates in steady state (bench_fig7_dispatch
+# --check). obs_test under TSan is the verdict on the
 # metrics registry's sharded recording (concurrent threads + retirement
 # folds), and the observability smoke fails if profiling the fused pipeline
 # costs more than 2% wall clock, if a disabled registry stops being free
@@ -44,11 +49,11 @@ cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j
 
 echo
-echo "== TSan: tensor_test + comm_test + kernel_test + parallel_test + telemetry_test + fault_test + elastic_test + fused_ops_test + exec_graph_test + property_test + macro_layer_test + obs_test =="
+echo "== TSan: tensor_test + comm_test + kernel_test + parallel_test + telemetry_test + fault_test + elastic_test + fused_ops_test + exec_graph_test + property_test + macro_layer_test + distributed_lm_test + obs_test =="
 cmake -B build-tsan -S . -DMSMOE_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target tensor_test comm_test kernel_test parallel_test \
   telemetry_test fault_test elastic_test fused_ops_test exec_graph_test \
-  property_test macro_layer_test obs_test bench_fault_recovery >/dev/null
+  property_test macro_layer_test distributed_lm_test obs_test bench_fault_recovery >/dev/null
 ./build-tsan/tests/tensor_test
 ./build-tsan/tests/comm_test
 ./build-tsan/tests/kernel_test
@@ -60,14 +65,16 @@ cmake --build build-tsan -j --target tensor_test comm_test kernel_test parallel_
 ./build-tsan/tests/exec_graph_test
 ./build-tsan/tests/property_test
 ./build-tsan/tests/macro_layer_test
+./build-tsan/tests/distributed_lm_test
 ./build-tsan/tests/obs_test
 (cd build-tsan/bench && ./bench_fault_recovery >/dev/null)
 
 echo
-echo "== ASan: tensor_test + fault_test + elastic_test + parallel_test + property_test + macro_layer_test + obs_test + checkpoint/recovery paths =="
+echo "== ASan: tensor_test + fault_test + elastic_test + parallel_test + property_test + macro_layer_test + distributed_lm_test + obs_test + checkpoint/recovery paths =="
 cmake -B build-asan -S . -DMSMOE_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target tensor_test fault_test elastic_test model_test \
-  trainer_test fused_ops_test parallel_test property_test macro_layer_test obs_test >/dev/null
+  trainer_test fused_ops_test parallel_test property_test macro_layer_test \
+  distributed_lm_test obs_test >/dev/null
 ./build-asan/tests/tensor_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/elastic_test
@@ -77,6 +84,7 @@ cmake --build build-asan -j --target tensor_test fault_test elastic_test model_t
 ./build-asan/tests/parallel_test
 ./build-asan/tests/property_test
 ./build-asan/tests/macro_layer_test
+./build-asan/tests/distributed_lm_test
 ./build-asan/tests/obs_test
 
 echo
@@ -105,7 +113,7 @@ cmake --build build-release -j --target bench_memory >/dev/null
 (cd build-release/bench && ./bench_memory --check)
 
 echo
-echo "== dispatch smoke: chunked EP dispatch beats one chunk 1.3x, bitwise, zero-alloc (bench_fig7_dispatch --check) =="
+echo "== dispatch smoke: chunked EP dispatch beats one chunk 1.3x, fwd+bwd bitwise, zero-alloc (bench_fig7_dispatch --check) =="
 cmake --build build-release -j --target bench_fig7_dispatch >/dev/null
 (cd build-release/bench && ./bench_fig7_dispatch --check)
 
