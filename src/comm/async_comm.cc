@@ -394,6 +394,9 @@ std::unique_ptr<CommHandle> AsyncCommDriver::StartAllToAllV(
       int64_t packed = 0;
       for (int dst = 0; dst < n; ++dst) {
         const ChunkLayout& pl = pair_at(params.member, dst);
+        if (pl.size(c) == 0) {
+          continue;  // empty vectors may hand out null data(): memcpy UB
+        }
         std::memcpy(send_scratch + packed * eb,
                     send_bytes + (send_prefix[static_cast<size_t>(dst)] + pl.begin(c)) * eb,
                     static_cast<size_t>(pl.size(c)) * static_cast<size_t>(eb));
@@ -418,6 +421,9 @@ std::unique_ptr<CommHandle> AsyncCommDriver::StartAllToAllV(
       int64_t unpacked = 0;
       for (int src = 0; src < n; ++src) {
         const ChunkLayout& pl = pair_at(src, params.member);
+        if (pl.size(c) == 0) {
+          continue;
+        }
         std::memcpy(recv_bytes + (recv_prefix[static_cast<size_t>(src)] + pl.begin(c)) * eb,
                     recv_scratch + unpacked * eb,
                     static_cast<size_t>(pl.size(c)) * static_cast<size_t>(eb));

@@ -29,7 +29,9 @@
 // producer-gated chunks were never signalled (a mid-pipeline abort) cancels
 // the op AND aborts the async channel so peer comm threads unwind instead
 // of deadlocking; the channel is reset by the owning Communicator's
-// RecoveryBarrier like any other group.
+// RecoveryBarrier like any other group. Destroy handles in Start order:
+// the comm thread retires ops FIFO, so a handle's destructor waits behind
+// every earlier op, including an unsignalled producer-gated one.
 //
 // Wire-byte accounting: chunks cover disjoint element ranges and every
 // volume formula is linear in payload, so the per-chunk AccountOnce totals

@@ -285,8 +285,10 @@ class CollectiveGroup {
         src_offset += CountAt(src, dst);
       }
       const int64_t n = CountAt(src, member);
-      std::memcpy(recv + recv_offset, SendSlot<T>(src) + src_offset,
-                  static_cast<size_t>(n) * sizeof(T));
+      if (n > 0) {  // an empty send or recv buffer may be null: memcpy UB
+        std::memcpy(recv + recv_offset, SendSlot<T>(src) + src_offset,
+                    static_cast<size_t>(n) * sizeof(T));
+      }
       (*recv_counts)[static_cast<size_t>(src)] = n;
       recv_offset += n;
     }

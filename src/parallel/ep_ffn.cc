@@ -1,11 +1,14 @@
 #include "src/parallel/ep_ffn.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <initializer_list>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,21 +87,19 @@ void RecordDispatchTelemetry(const ShardContext& ctx, const char* name, int chun
   telemetry.RecordDispatch(std::move(event));
 }
 
-struct ExpertBlock {
-  Tensor fc1, fc3, fc2_in, fc2_out;
+// This rank's expert weights: spans into the caller's full per-expert
+// vectors — no copies.
+struct LocalExperts {
+  const Tensor* w1;
+  const Tensor* w3;
+  const Tensor* w2;
 };
 
-// Runs FC1/FC3 -> SwiGLU -> FC2 over rows grouped by local expert. Weights
-// are spans into the caller's full per-expert vectors — no copies.
-ExpertBlock RunExperts(const Tensor& ffn_in, const std::vector<int64_t>& offsets,
-                       const Tensor* w1, const Tensor* w3, const Tensor* w2,
-                       int64_t e_local) {
-  ExpertBlock block;
-  block.fc1 = GroupedGemm(ffn_in, offsets, w1, e_local);
-  block.fc3 = GroupedGemm(ffn_in, offsets, w3, e_local);
-  block.fc2_in = SwiGlu(block.fc1, block.fc3);
-  block.fc2_out = GroupedGemm(block.fc2_in, offsets, w2, e_local);
-  return block;
+LocalExperts LocalWeights(const ShardContext& ctx, int64_t e_local,
+                          const std::vector<Tensor>& w1, const std::vector<Tensor>& w3,
+                          const std::vector<Tensor>& w2) {
+  const int64_t first = ctx.rank * e_local;
+  return {w1.data() + first, w3.data() + first, w2.data() + first};
 }
 
 // Packs this rank's dispatch rows chunk by chunk and starts one A2AV
@@ -334,6 +335,118 @@ void RunChunkExperts(const int64_t* gidx, int64_t rows, const std::vector<int64_
       micros);
 }
 
+// The forward expert body of one chunk, shared by both dispatch modes:
+// FC1/FC3 -> SwiGLU -> FC2 over the chunk's grouped rows `gidx` (ascending,
+// already delivered into cache->ffn_in), results written back to grouped
+// order in fc1_out/fc3_out/fc2_in/fc2_out.
+void ForwardChunk(EpFfnCache* cache, const int64_t* gidx, int64_t rows,
+                  const LocalExperts& w, int64_t h, int64_t f) {
+  if (rows == 0) {
+    return;
+  }
+  Workspace& ws = ThreadWorkspace();
+  float* in_s = ws.Floats("ep.chunk.in", rows * h);
+  float* fc1_s = ws.Floats("ep.chunk.fc1", rows * f);
+  float* fc3_s = ws.Floats("ep.chunk.fc3", rows * f);
+  float* mid_s = ws.Floats("ep.chunk.mid", rows * f);
+  float* out_s = ws.Floats("ep.chunk.out", rows * h);
+  RunChunkExperts(gidx, rows, cache->local_offsets, h, f, {{cache->ffn_in.data(), in_s, h}},
+                  [&](int64_t e, int64_t lo, int64_t m) {
+                    GemmBlocked(false, false, m, f, h, 1.0f, in_s + lo * h, w.w1[e].data(),
+                                0.0f, fc1_s + lo * f);
+                    GemmBlocked(false, false, m, f, h, 1.0f, in_s + lo * h, w.w3[e].data(),
+                                0.0f, fc3_s + lo * f);
+                    float* gated = mid_s + lo * f;
+                    const float* gate = fc1_s + lo * f;
+                    const float* linear = fc3_s + lo * f;
+                    for (int64_t i = 0; i < m * f; ++i) {
+                      gated[i] = gate[i] * Sigmoid(gate[i]) * linear[i];
+                    }
+                    GemmBlocked(false, false, m, h, f, 1.0f, gated, w.w2[e].data(), 0.0f,
+                                out_s + lo * h);
+                  });
+  CopyChunkRows(gidx, rows, /*scatter=*/true,
+                {{fc1_s, cache->fc1_out.data(), f},
+                 {fc3_s, cache->fc3_out.data(), f},
+                 {mid_s, cache->fc2_in.data(), f},
+                 {out_s, cache->fc2_out.data(), h}});
+}
+
+// The input-grad (dgrad) body of one chunk, shared by both dispatch modes:
+// dmid = dy·W2ᵀ, the SwiGLU backward, then dx = dgate·W1ᵀ + dlinear·W3ᵀ
+// over the chunk's grouped rows `gidx`. Reads dfc2_out and the cached
+// fc1/fc3 outputs, writes dgate/dlinear (for the deferred wgrad) and dx
+// ([R, h], the input grads) at the same grouped rows.
+void DgradChunk(const EpFfnCache& cache, const int64_t* gidx, int64_t rows,
+                const LocalExperts& w, int64_t h, int64_t f, const float* dfc2_out,
+                float* dgate, float* dlinear, float* dx) {
+  if (rows == 0) {
+    return;
+  }
+  // The forward's five staging slots, each updated in place once its old
+  // contents are dead: in holds dy, then dlinear·W3ᵀ; fc1 the gate; fc3 the
+  // linear, then dlinear; mid dy·W2ᵀ, then dgate; out dx.
+  Workspace& ws = ThreadWorkspace();
+  float* dy_s = ws.Floats("ep.chunk.in", rows * h);
+  float* gate_s = ws.Floats("ep.chunk.fc1", rows * f);
+  float* linear_s = ws.Floats("ep.chunk.fc3", rows * f);
+  float* dgate_s = ws.Floats("ep.chunk.mid", rows * f);
+  float* dx_s = ws.Floats("ep.chunk.out", rows * h);
+  RunChunkExperts(gidx, rows, cache.local_offsets, h, f,
+                  {{dfc2_out, dy_s, h},
+                   {cache.fc1_out.data(), gate_s, f},
+                   {cache.fc3_out.data(), linear_s, f}},
+                  [&](int64_t e, int64_t lo, int64_t m) {
+                    float* dgate_e = dgate_s + lo * f;
+                    GemmBlocked(false, true, m, f, h, 1.0f, dy_s + lo * h, w.w2[e].data(),
+                                0.0f, dgate_e);
+                    const float* gate = gate_s + lo * f;
+                    float* linear = linear_s + lo * f;
+                    // Same expressions as SwiGluBackward (tensor_ops.cc).
+                    for (int64_t i = 0; i < m * f; ++i) {
+                      const float sig = Sigmoid(gate[i]);
+                      const float silu = gate[i] * sig;
+                      const float dsilu = sig * (1.0f + gate[i] * (1.0f - sig));
+                      const float dmid = dgate_e[i];
+                      dgate_e[i] = dmid * linear[i] * dsilu;
+                      linear[i] = dmid * silu;
+                    }
+                    float* dx_e = dx_s + lo * h;
+                    float* dx3 = dy_s + lo * h;
+                    GemmBlocked(false, true, m, h, f, 1.0f, dgate_e, w.w1[e].data(), 0.0f,
+                                dx_e);
+                    GemmBlocked(false, true, m, h, f, 1.0f, linear, w.w3[e].data(), 0.0f,
+                                dx3);
+                    for (int64_t i = 0; i < m * h; ++i) {
+                      dx_e[i] += dx3[i];
+                    }
+                  });
+  CopyChunkRows(gidx, rows, /*scatter=*/true,
+                {{dgate_s, dgate, f}, {linear_s, dlinear, f}, {dx_s, dx, h}});
+}
+
+// The deferred weight gradients, one op after the last dgrad: dW2/dW1/dW3
+// over every grouped row at once, so each expert keeps its whole-row
+// reduction in grouped order whatever the chunking.
+std::function<Status()> WgradOp(EpFfnGrads* grads, const EpFfnCache& cache,
+                                const Tensor& dfc2_out, const Tensor& dgate,
+                                const Tensor& dlinear) {
+  return [grads, &cache, &dfc2_out, &dgate, &dlinear] {
+    const int64_t e_local = static_cast<int64_t>(cache.local_offsets.size()) - 1;
+    grads->dw2 = GroupedGemmWeightGrads(dfc2_out, cache.fc2_in, cache.local_offsets, e_local);
+    grads->dw1 = GroupedGemmWeightGrads(dgate, cache.ffn_in, cache.local_offsets, e_local);
+    grads->dw3 = GroupedGemmWeightGrads(dlinear, cache.ffn_in, cache.local_offsets, e_local);
+    return Status::Ok();
+  };
+}
+
+// dst[0, h) += weight * row[0, h): a token's accumulation of one copy.
+void AddScaledRow(float weight, const float* row, float* dst, int64_t h) {
+  for (int64_t col = 0; col < h; ++col) {
+    dst[col] += weight * row[col];
+  }
+}
+
 // Packs chunk c's rows of the grouped tensor `grouped` ([R, h]) back into
 // chunk order — the layout they arrived in — and starts their return A2AV
 // to the source ranks. Called from chained stream-0 ops.
@@ -405,8 +518,7 @@ void AddReturnChain(ExecGraph* graph, const EpFfnCache& cache,
 // grouped receive order and each token's combine accumulation order are the
 // same for every chunk count — only the schedule changes.
 Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
-                           const EpPipelineConfig& pipe, const std::vector<Tensor>& w1,
-                           const std::vector<Tensor>& w3, const std::vector<Tensor>& w2,
+                           const EpPipelineConfig& pipe, const LocalExperts& w,
                            const Tensor& x_local, const RoutingResult& routing,
                            EpFfnCache* cache) {
   const int n = ctx.size();
@@ -598,10 +710,7 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
   // chunk i+1 already overlapped chunk i's wire inside
   // StartDispatchChunks. Combine Starts are issued from the CHAINED
   // combine_pack ops, in declared order on every rank.
-  const int64_t f = w1[0].dim(1);
-  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
-  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
-  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
+  const int64_t f = w.w1[0].dim(1);
   const int64_t* gather = BuildChunkGather(*cache);
   cache->ffn_in = Tensor::Uninit({total_recv, h});
   cache->fc1_out = Tensor::Uninit({total_recv, f});
@@ -629,42 +738,11 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
         "ep_dispatch_wait", "ep_scatter", [&](int c, int scatter) {
           const int ffn = graph.AddCompute(
               ChunkOpName("ep_ffn_chunk", c),
-              [cache_p, gather, c, w1_loc, w3_loc, w2_loc, h, f] {
+              [cache_p, gather, c, w, h, f] {
                 const int64_t base = cache_p->recv_chunk_base[static_cast<size_t>(c)];
-                const int64_t rows_c =
-                    cache_p->recv_chunk_base[static_cast<size_t>(c) + 1] - base;
-                if (rows_c == 0) {
-                  return Status::Ok();
-                }
-                const int64_t* gidx = gather + base;
-                Workspace& cws = ThreadWorkspace();
-                float* in_s = cws.Floats("ep.chunk.in", rows_c * h);
-                float* fc1_s = cws.Floats("ep.chunk.fc1", rows_c * f);
-                float* fc3_s = cws.Floats("ep.chunk.fc3", rows_c * f);
-                float* mid_s = cws.Floats("ep.chunk.mid", rows_c * f);
-                float* out_s = cws.Floats("ep.chunk.out", rows_c * h);
-                RunChunkExperts(
-                    gidx, rows_c, cache_p->local_offsets, h, f,
-                    {{cache_p->ffn_in.data(), in_s, h}},
-                    [&](int64_t e, int64_t lo, int64_t m) {
-                      GemmBlocked(false, false, m, f, h, 1.0f, in_s + lo * h,
-                                  w1_loc[e].data(), 0.0f, fc1_s + lo * f);
-                      GemmBlocked(false, false, m, f, h, 1.0f, in_s + lo * h,
-                                  w3_loc[e].data(), 0.0f, fc3_s + lo * f);
-                      float* gated = mid_s + lo * f;
-                      const float* gate = fc1_s + lo * f;
-                      const float* linear = fc3_s + lo * f;
-                      for (int64_t i = 0; i < m * f; ++i) {
-                        gated[i] = gate[i] * Sigmoid(gate[i]) * linear[i];
-                      }
-                      GemmBlocked(false, false, m, h, f, 1.0f, gated, w2_loc[e].data(),
-                                  0.0f, out_s + lo * h);
-                    });
-                CopyChunkRows(gidx, rows_c, /*scatter=*/true,
-                              {{fc1_s, cache_p->fc1_out.data(), f},
-                               {fc3_s, cache_p->fc3_out.data(), f},
-                               {mid_s, cache_p->fc2_in.data(), f},
-                               {out_s, cache_p->fc2_out.data(), h}});
+                ForwardChunk(cache_p, gather + base,
+                             cache_p->recv_chunk_base[static_cast<size_t>(c) + 1] - base, w,
+                             h, f);
                 return Status::Ok();
               },
               {scatter}, "gemm");
@@ -689,13 +767,9 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
                      for (int64_t j = 0; j < rows_c; ++j) {
                        const int64_t p = base + j;
                        const int64_t t = cache_p->send_token[static_cast<size_t>(p)];
-                       const float weight = routing_p->combine_weight.At(
-                           t, cache_p->send_slot[static_cast<size_t>(p)]);
-                       const float* row = buf + j * h;
-                       float* out = y + t * h;
-                       for (int64_t col = 0; col < h; ++col) {
-                         out[col] += weight * row[col];
-                       }
+                       AddScaledRow(routing_p->combine_weight.At(
+                                        t, cache_p->send_slot[static_cast<size_t>(p)]),
+                                    buf + j * h, y + t * h, h);
                      }
                    });
     const ExecResult result = graph.Execute(/*num_streams=*/2);
@@ -723,14 +797,11 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
 // forward; dW keeps its full-row reduction in grouped order; dx accumulates
 // per token in (owner rank asc, slot asc) order.
 EpFfnGrads PipelinedBackwardA2A(const ShardContext& ctx, const ModelConfig& config,
-                                const std::vector<Tensor>& w1,
-                                const std::vector<Tensor>& w3,
-                                const std::vector<Tensor>& w2, const Tensor& dy_local,
+                                const LocalExperts& w, const Tensor& dy_local,
                                 const RoutingResult& routing, const EpFfnCache& cache) {
   const int n = ctx.size();
-  const int64_t e_local = config.num_experts / n;
   const int64_t h = config.hidden;
-  const int64_t f = w1[0].dim(1);
+  const int64_t f = w.w1[0].dim(1);
   const int64_t t_local = dy_local.dim(0);
   const int64_t k = routing.top_k;
   const int C = cache.pipeline_chunks;
@@ -784,9 +855,6 @@ EpFfnGrads PipelinedBackwardA2A(const ShardContext& ctx, const ModelConfig& conf
 
   // Grouped-order grads: dfc2_out lands per chunk; dgate/dlinear feed the
   // deferred wgrad; dffn_in (the input grads) stages the dx return.
-  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
-  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
-  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
   const int64_t* gather = BuildChunkGather(cache);
   Tensor dfc2_out = Tensor::Uninit({total_recv, h});
   Tensor dgate = Tensor::Uninit({total_recv, f});
@@ -811,56 +879,11 @@ EpFfnGrads PipelinedBackwardA2A(const ShardContext& ctx, const ModelConfig& conf
           dgrad_ids[static_cast<size_t>(c)] = graph.AddCompute(
               ChunkOpName("ep_dgrad", c),
               [cache_p, scratch_p, ret_handles_p, comm, rank, gather, dfc2_out_p, dgate_p,
-               dlinear_p, dffn_in, ret_stage, w1_loc, w3_loc, w2_loc, c, h, f] {
+               dlinear_p, dffn_in, ret_stage, w, c, h, f] {
                 const int64_t base = cache_p->recv_chunk_base[static_cast<size_t>(c)];
-                const int64_t rows_c =
-                    cache_p->recv_chunk_base[static_cast<size_t>(c) + 1] - base;
-                if (rows_c > 0) {
-                  const int64_t* gidx = gather + base;
-                  // The forward's five staging slots, each updated in place
-                  // once its old contents are dead: in holds dy, then
-                  // dlinear·W3ᵀ; fc1 the gate; fc3 the linear, then dlinear;
-                  // mid dy·W2ᵀ, then dgate; out dx.
-                  Workspace& cws = ThreadWorkspace();
-                  float* dy_s = cws.Floats("ep.chunk.in", rows_c * h);
-                  float* gate_s = cws.Floats("ep.chunk.fc1", rows_c * f);
-                  float* linear_s = cws.Floats("ep.chunk.fc3", rows_c * f);
-                  float* dgate_s = cws.Floats("ep.chunk.mid", rows_c * f);
-                  float* dx_s = cws.Floats("ep.chunk.out", rows_c * h);
-                  RunChunkExperts(
-                      gidx, rows_c, cache_p->local_offsets, h, f,
-                      {{dfc2_out_p, dy_s, h},
-                       {cache_p->fc1_out.data(), gate_s, f},
-                       {cache_p->fc3_out.data(), linear_s, f}},
-                      [&](int64_t e, int64_t lo, int64_t m) {
-                        float* dgate_e = dgate_s + lo * f;
-                        GemmBlocked(false, true, m, f, h, 1.0f, dy_s + lo * h,
-                                    w2_loc[e].data(), 0.0f, dgate_e);
-                        const float* gate = gate_s + lo * f;
-                        float* linear = linear_s + lo * f;
-                        // Same expressions as SwiGluBackward (tensor_ops.cc).
-                        for (int64_t i = 0; i < m * f; ++i) {
-                          const float sig = Sigmoid(gate[i]);
-                          const float silu = gate[i] * sig;
-                          const float dsilu = sig * (1.0f + gate[i] * (1.0f - sig));
-                          const float dmid = dgate_e[i];
-                          dgate_e[i] = dmid * linear[i] * dsilu;
-                          linear[i] = dmid * silu;
-                        }
-                        float* dx = dx_s + lo * h;
-                        float* dx3 = dy_s + lo * h;
-                        GemmBlocked(false, true, m, h, f, 1.0f, dgate_e, w1_loc[e].data(),
-                                    0.0f, dx);
-                        GemmBlocked(false, true, m, h, f, 1.0f, linear, w3_loc[e].data(),
-                                    0.0f, dx3);
-                        for (int64_t i = 0; i < m * h; ++i) {
-                          dx[i] += dx3[i];
-                        }
-                      });
-                  CopyChunkRows(gidx, rows_c, /*scatter=*/true,
-                                {{dgate_s, dgate_p, f}, {linear_s, dlinear_p, f},
-                                 {dx_s, dffn_in, h}});
-                }
+                DgradChunk(*cache_p, gather + base,
+                           cache_p->recv_chunk_base[static_cast<size_t>(c) + 1] - base, w, h,
+                           f, dfc2_out_p, dgate_p, dlinear_p, dffn_in);
                 (*ret_handles_p)[static_cast<size_t>(c)] = StartReturnChunk(
                     comm, rank, *cache_p, scratch_p, dffn_in, ret_stage, c, h);
                 return Status::Ok();
@@ -868,35 +891,286 @@ EpFfnGrads PipelinedBackwardA2A(const ShardContext& ctx, const ModelConfig& conf
               {scatter}, "gemm");
           return dgrad_ids[static_cast<size_t>(c)];
         });
-    tail.s0 = graph.AddCompute(
-        "ep_wgrad",
-        [&grads, &cache, &dfc2_out, &dgate, &dlinear, e_local] {
-          grads.dw2 = GroupedGemmWeightGrads(dfc2_out, cache.fc2_in, cache.local_offsets,
-                                             e_local);
-          grads.dw1 =
-              GroupedGemmWeightGrads(dgate, cache.ffn_in, cache.local_offsets, e_local);
-          grads.dw3 =
-              GroupedGemmWeightGrads(dlinear, cache.ffn_in, cache.local_offsets, e_local);
-          return Status::Ok();
-        },
-        {tail.s0}, "gemm");
+    tail.s0 = graph.AddCompute("ep_wgrad", WgradOp(&grads, cache, dfc2_out, dgate, dlinear),
+                               {tail.s0}, "gemm");
     float* dx = grads.dx_local.data();
     AddReturnChain(&graph, cache, &ret_handles, &scratch, dgrad_ids, tail, "ep_dx_wait",
                    "ep_dx_acc",
                    [cache_p, dx, h](int64_t base, int64_t rows_c, const float* buf) {
                      for (int64_t j = 0; j < rows_c; ++j) {
-                       const int64_t t = cache_p->send_token[static_cast<size_t>(base + j)];
-                       const float* row = buf + j * h;
-                       float* out = dx + t * h;
-                       for (int64_t col = 0; col < h; ++col) {
-                         out[col] += row[col];
-                       }
+                       AddScaledRow(1.0f, buf + j * h,
+                                    dx + cache_p->send_token[static_cast<size_t>(base + j)] * h,
+                                    h);
                      }
                    });
     graph.Execute(/*num_streams=*/2);
     handles.clear();
     ret_handles.clear();
   }
+  return grads;
+}
+
+// Grouped rows of a kAllGatherScatter layer, split by token chunk: chunk c
+// holds local tokens [chunks.begin(c), chunks.end(c)) of EVERY source rank —
+// the rows that chunk c of the all-gather and reduce-scatter handles carry
+// (ChunkLayout splits a row-quantum count by rows). gather lists chunk c's
+// grouped rows ascending at gather[base[c]..base[c + 1]).
+struct TokenChunkRows {
+  const int64_t* gather;
+  const int64_t* base;
+};
+
+TokenChunkRows BuildTokenChunkRows(const EpFfnCache& cache, const ChunkLayout& chunks) {
+  const int C = chunks.num_chunks();
+  const int64_t rows = static_cast<int64_t>(cache.copy_token.size());
+  int64_t* chunk_of = WsInts("ep.ag.token_chunk", chunks.total());
+  for (int c = 0; c < C; ++c) {
+    std::fill(chunk_of + chunks.begin(c), chunk_of + chunks.end(c), c);
+  }
+  int64_t* row_chunk = WsInts("ep.ag.row_chunk", rows);
+  int64_t* base = WsInts("ep.ag.chunk_base", C + 1);
+  std::fill(base, base + C + 1, 0);
+  for (int64_t i = 0; i < rows; ++i) {
+    row_chunk[i] = chunk_of[cache.copy_token[static_cast<size_t>(i)] % chunks.total()];
+    ++base[row_chunk[i] + 1];
+  }
+  std::partial_sum(base, base + C + 1, base);
+  int64_t* cursor = WsInts("ep.ag.chunk_cursor", C);
+  std::copy(base, base + C, cursor);
+  int64_t* gather = WsInts("ep.chunk_gather", rows);
+  for (int64_t i = 0; i < rows; ++i) {
+    gather[cursor[row_chunk[i]]++] = i;
+  }
+  return {gather, base};
+}
+
+// Runs one all-gather-mode pipeline on a two-stream exec graph. handles[0]
+// is the all-gather (token or dy rows); the rest are producer-gated
+// reduce-scatters Started after it. Per chunk c: a chained stream-1 wait on
+// all-gather chunk c, then a chained stream-0 op running body(gidx, rows)
+// over the chunk's grouped rows — every copy of the chunk's tokens — and
+// releasing chunk c of each reduce-scatter. `wgrad`, if set, runs on
+// stream 0 after the last chunk while the reduce-scatters drain.
+template <typename BodyFn>
+Status RunAgPipeline(std::vector<std::unique_ptr<CommHandle>> handles,
+                     const TokenChunkRows& rows, int chunks, const char* op_name,
+                     const BodyFn& body, std::function<Status()> wgrad = nullptr) {
+  ExecGraph graph;
+  ChainTail tail;
+  for (int c = 0; c < chunks; ++c) {
+    std::vector<int> wait_deps;
+    if (tail.wait >= 0) {
+      wait_deps.push_back(tail.wait);
+    }
+    tail.wait = graph.AddComm(ChunkOpName("ep_ag_wait", c), /*stream=*/1,
+                              [&handles, c] { return handles[0]->WaitChunk(c); }, wait_deps);
+    std::vector<int> deps{tail.wait};
+    if (tail.s0 >= 0) {
+      deps.push_back(tail.s0);
+    }
+    tail.s0 = graph.AddCompute(
+        ChunkOpName(op_name, c),
+        [&handles, &rows, &body, c] {
+          body(rows.gather + rows.base[c], rows.base[c + 1] - rows.base[c]);
+          for (size_t i = 1; i < handles.size(); ++i) {
+            handles[i]->SignalChunkReady(c);
+          }
+          return Status::Ok();
+        },
+        deps, "gemm");
+  }
+  if (wgrad) {
+    graph.AddCompute("ep_wgrad", std::move(wgrad), {tail.s0}, "gemm");
+  }
+  graph.AddComm(
+      "ep_rs_wait", /*stream=*/1,
+      [&handles] {
+        Status status = Status::Ok();
+        for (size_t i = 1; i < handles.size(); ++i) {
+          const Status handle_status = handles[i]->WaitAll();
+          status = status.ok() ? handle_status : status;
+        }
+        return status;
+      },
+      {tail.wait, tail.s0});
+  const Status status = graph.Execute(/*num_streams=*/2).status;
+  // Retire in Start order: the comm thread runs ops FIFO, so a handle's
+  // destructor would wait behind an earlier unsignalled one.
+  for (std::unique_ptr<CommHandle>& handle : handles) {
+    handle.reset();
+  }
+  return status;
+}
+
+// The fused kAllGatherScatter forward (§3.2 Fig 6/7, §4.2): as token chunk
+// c lands, its grouped rows run through the experts and add weight·row into
+// full_out; those full_out rows are then final, so reduce-scatter chunk c
+// ships while later chunks compute. Bitwise: expert rows are row-split
+// safe, each token's copies all lie in its chunk and are added in ascending
+// grouped order, and the chunked reduce-scatter keeps the rank-ordered
+// per-element sum — the chunk count changes no bit.
+Tensor PipelinedForwardAG(const ShardContext& ctx, const ModelConfig& config, int num_chunks,
+                          const LocalExperts& w, const Tensor& x_local,
+                          const RoutingResult& routing, EpFfnCache* cache) {
+  const int n = ctx.size();
+  const int64_t e_local = config.num_experts / n;
+  const int64_t h = config.hidden;
+  const int64_t f = w.w1[0].dim(1);
+  const int64_t t_local = x_local.dim(0);
+  const int64_t t_total = t_local * n;
+  const int64_t k = routing.top_k;
+  const double start_us = ctx.comm->telemetry().NowUs();
+
+  // --- One routing all-gather: per copy the expert id (-1 = dropped) in
+  // the low 32 bits, the combine weight's float bits in the high 32. ---
+  int64_t* meta = WsInts("ep.ag.meta_local", t_local * k);
+  for (int64_t i = 0; i < t_local * k; ++i) {
+    const size_t s = static_cast<size_t>(i);
+    const auto expert = static_cast<uint32_t>(
+        routing.dropped[s] != 0 ? -1 : static_cast<int32_t>(routing.expert_index[s]));
+    const auto weight = std::bit_cast<uint32_t>(routing.combine_weight[s]);
+    meta[i] = static_cast<int64_t>(static_cast<uint64_t>(weight) << 32 | expert);
+  }
+  int64_t* meta_all = WsInts("ep.ag.meta_all", t_total * k);
+  ctx.comm->AllGather(ctx.rank, meta, meta_all, t_local * k);
+  Tensor y_local({t_local, h});
+  if (!ctx.comm->GroupStatus().ok()) {
+    return y_local;  // degraded group: match the collectives' zero-fill
+  }
+
+  // --- Local scatter: the copies routed to this rank's experts, grouped by
+  // (expert, global token, slot) in one counting and one cursor pass. ---
+  const auto local_expert = [&](int64_t i) -> int64_t {  // -1 = not ours
+    const int64_t e = static_cast<int32_t>(meta_all[i]) - ctx.rank * e_local;
+    return e >= 0 && e < e_local ? e : -1;
+  };
+  std::vector<int64_t>& offsets = cache->local_offsets;
+  offsets.assign(static_cast<size_t>(e_local) + 1, 0);
+  for (int64_t i = 0; i < t_total * k; ++i) {
+    if (const int64_t e = local_expert(i); e >= 0) {
+      ++offsets[static_cast<size_t>(e) + 1];
+    }
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  const int64_t rows = offsets.back();
+  cache->copy_token.resize(static_cast<size_t>(rows));
+  cache->copy_slot.resize(static_cast<size_t>(rows));
+  cache->copy_weight.resize(static_cast<size_t>(rows));
+  int64_t* cursor = WsInts("ep.expert_cursor", e_local);
+  std::copy(offsets.begin(), offsets.end() - 1, cursor);
+  for (int64_t i = 0; i < t_total * k; ++i) {
+    if (const int64_t e = local_expert(i); e >= 0) {
+      const size_t p = static_cast<size_t>(cursor[e]++);
+      cache->copy_token[p] = i / k;
+      cache->copy_slot[p] = i % k;
+      cache->copy_weight[p] = std::bit_cast<float>(static_cast<uint32_t>(
+          static_cast<uint64_t>(meta_all[i]) >> 32));
+    }
+  }
+
+  const ChunkLayout chunks(t_local, num_chunks, /*quantum=*/1);
+  const int C = chunks.num_chunks();
+  cache->pipeline_chunks = C;
+  const TokenChunkRows chunk_rows = BuildTokenChunkRows(*cache, chunks);
+  cache->x_all = Tensor::Uninit({t_total, h});
+  cache->ffn_in = Tensor::Uninit({rows, h});
+  cache->fc1_out = Tensor::Uninit({rows, f});
+  cache->fc3_out = Tensor::Uninit({rows, f});
+  cache->fc2_in = Tensor::Uninit({rows, f});
+  cache->fc2_out = Tensor::Uninit({rows, h});
+  Tensor full_out({t_total, h});
+  std::vector<std::unique_ptr<CommHandle>> handles;
+  handles.push_back(ctx.comm->StartAllGather(ctx.rank, x_local.data(), cache->x_all.data(),
+                                             t_local * h, C, /*quantum=*/h));
+  handles.push_back(ctx.comm->StartReduceScatter(ctx.rank, full_out.data(), y_local.data(),
+                                                 t_local * h, C, /*quantum=*/h));
+  const Status status = RunAgPipeline(
+      std::move(handles), chunk_rows, C, "ep_ag_ffn",
+      [&](const int64_t* gidx, int64_t rows_c) {
+        ParallelFor(rows_c, 32, [&](int64_t r0, int64_t r1) {
+          for (int64_t r = r0; r < r1; ++r) {
+            std::memcpy(cache->ffn_in.data() + gidx[r] * h,
+                        cache->x_all.data() + cache->copy_token[static_cast<size_t>(gidx[r])] * h,
+                        static_cast<size_t>(h) * sizeof(float));
+          }
+        });
+        ForwardChunk(cache, gidx, rows_c, w, h, f);
+        for (int64_t r = 0; r < rows_c; ++r) {
+          const size_t i = static_cast<size_t>(gidx[r]);
+          AddScaledRow(cache->copy_weight[i], cache->fc2_out.data() + gidx[r] * h,
+                       full_out.data() + cache->copy_token[i] * h, h);
+        }
+      });
+  if (!status.ok()) {
+    return Tensor({t_local, h});
+  }
+  RecordDispatchTelemetry(ctx, "ep_dispatch_fwd", C, offsets, start_us);
+  return y_local;
+}
+
+// Backward of the fused kAllGatherScatter layer, shaped like its forward:
+// as dy chunk c lands, the chunk's grouped rows get dfc2_out = w·dy and
+// their combine-weight dots, run the shared dgrad body and scatter-add
+// their input grads into dx_all, releasing chunk c of the dx and the
+// dcombine reduce-scatters. The whole-expert weight gradients run after
+// the last chunk while those chunks are on the wire.
+EpFfnGrads PipelinedBackwardAG(const ShardContext& ctx, const ModelConfig& config,
+                               const LocalExperts& w, const Tensor& dy_local,
+                               const RoutingResult& routing, const EpFfnCache& cache) {
+  const int64_t h = config.hidden;
+  const int64_t f = w.w1[0].dim(1);
+  const int64_t t_local = dy_local.dim(0);
+  const int64_t t_total = t_local * ctx.size();
+  const int64_t k = routing.top_k;
+  const int64_t rows = static_cast<int64_t>(cache.copy_token.size());
+  const ChunkLayout chunks(t_local, cache.pipeline_chunks, /*quantum=*/1);
+  const int C = chunks.num_chunks();
+  const TokenChunkRows chunk_rows = BuildTokenChunkRows(cache, chunks);
+
+  EpFfnGrads grads;
+  grads.dcombine_local = Tensor({t_local, k});
+  grads.dx_local = Tensor({t_local, h});
+  Tensor dy_all = Tensor::Uninit({t_total, h});
+  Tensor dx_all({t_total, h});  // zeroed: each rank adds only its copies
+  Tensor dcombine_all({t_total, k});
+  Tensor dfc2_out = Tensor::Uninit({rows, h});
+  Tensor dgate = Tensor::Uninit({rows, f});
+  Tensor dlinear = Tensor::Uninit({rows, f});
+  float* dffn_in = ThreadWorkspace().Floats("ep.bwd.dx", std::max<int64_t>(rows * h, 1));
+  std::vector<std::unique_ptr<CommHandle>> handles;
+  handles.push_back(ctx.comm->StartAllGather(ctx.rank, dy_local.data(), dy_all.data(),
+                                             t_local * h, C, /*quantum=*/h));
+  handles.push_back(ctx.comm->StartReduceScatter(
+      ctx.rank, dx_all.data(), grads.dx_local.data(), t_local * h, C, /*quantum=*/h));
+  handles.push_back(ctx.comm->StartReduceScatter(ctx.rank, dcombine_all.data(),
+                                                 grads.dcombine_local.data(), t_local * k, C,
+                                                 /*quantum=*/k));
+  // A failed pipeline surfaces through GroupStatus(), as in the A2A backward.
+  (void)RunAgPipeline(
+      std::move(handles), chunk_rows, C, "ep_ag_dgrad",
+      [&](const int64_t* gidx, int64_t rows_c) {
+        ParallelFor(rows_c, 16, [&](int64_t r0, int64_t r1) {
+          for (int64_t r = r0; r < r1; ++r) {
+            const size_t i = static_cast<size_t>(gidx[r]);
+            const float* dy_row = dy_all.data() + cache.copy_token[i] * h;
+            const float* fc2_row = cache.fc2_out.data() + gidx[r] * h;
+            float* dfc2_row = dfc2_out.data() + gidx[r] * h;
+            float dot = 0.0f;
+            for (int64_t col = 0; col < h; ++col) {
+              dfc2_row[col] = cache.copy_weight[i] * dy_row[col];
+              dot += dy_row[col] * fc2_row[col];
+            }
+            dcombine_all.At(cache.copy_token[i], cache.copy_slot[i]) = dot;
+          }
+        });
+        DgradChunk(cache, gidx, rows_c, w, h, f, dfc2_out.data(), dgate.data(),
+                   dlinear.data(), dffn_in);
+        for (int64_t r = 0; r < rows_c; ++r) {
+          AddScaledRow(1.0f, dffn_in + gidx[r] * h,
+                       dx_all.data() + cache.copy_token[static_cast<size_t>(gidx[r])] * h, h);
+        }
+      },
+      WgradOp(&grads, cache, dfc2_out, dgate, dlinear));
   return grads;
 }
 
@@ -925,89 +1199,14 @@ Tensor EpFfnForward(const ShardContext& ctx, const ModelConfig& config, EpDispat
                     const std::vector<Tensor>& w2, const Tensor& x_local,
                     const RoutingResult& routing_local, EpFfnCache* cache) {
   const int n = ctx.size();
-  const int64_t experts = config.num_experts;
-  MSMOE_CHECK_EQ(experts % n, 0);
-  const int64_t e_local = experts / n;
-  const int64_t h = config.hidden;
-  const int64_t t_local = x_local.dim(0);
-  const int64_t k = routing_local.top_k;
-  MSMOE_CHECK_EQ(routing_local.tokens, t_local);
+  MSMOE_CHECK_EQ(config.num_experts % n, 0);
+  MSMOE_CHECK_EQ(routing_local.tokens, x_local.dim(0));
+  const LocalExperts w = LocalWeights(ctx, config.num_experts / n, w1, w3, w2);
+  const EpPipelineConfig pipe = GetEpPipelineConfig();
   if (mode == EpDispatchMode::kAllToAll) {
-    return PipelinedForwardA2A(ctx, config, GetEpPipelineConfig(), w1, w3, w2, x_local,
-                               routing_local, cache);
+    return PipelinedForwardA2A(ctx, config, pipe, w, x_local, routing_local, cache);
   }
-
-  // --- kAllGatherScatter ---
-  const double start_us = ctx.comm->telemetry().NowUs();
-  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
-  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
-  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
-  const int64_t t_total = t_local * n;
-  cache->x_all = Tensor({t_total, h});
-  ctx.comm->AllGather(ctx.rank, x_local.data(), cache->x_all.data(), t_local * h);
-
-  // All-gather routing metadata (-1 expert marks a dropped copy).
-  std::vector<int64_t> idx_local(static_cast<size_t>(t_local * k));
-  std::vector<float> weight_local(static_cast<size_t>(t_local * k));
-  for (int64_t i = 0; i < t_local * k; ++i) {
-    idx_local[static_cast<size_t>(i)] = routing_local.dropped[static_cast<size_t>(i)] != 0
-                                            ? -1
-                                            : routing_local.expert_index[static_cast<size_t>(i)];
-    weight_local[static_cast<size_t>(i)] =
-        routing_local.combine_weight[static_cast<size_t>(i)];
-  }
-  std::vector<int64_t> idx_all(static_cast<size_t>(t_total * k));
-  std::vector<float> weight_all(static_cast<size_t>(t_total * k));
-  ctx.comm->AllGather(ctx.rank, idx_local.data(), idx_all.data(), t_local * k);
-  ctx.comm->AllGather(ctx.rank, weight_local.data(), weight_all.data(), t_local * k);
-
-  // Local scatter: keep only copies routed to this rank's experts, grouped
-  // by expert (global token order within each expert).
-  cache->copy_token.clear();
-  cache->copy_slot.clear();
-  cache->copy_weight.clear();
-  cache->local_offsets.assign(static_cast<size_t>(e_local + 1), 0);
-  for (int64_t e = 0; e < e_local; ++e) {
-    const int64_t e_global = ctx.rank * e_local + e;
-    for (int64_t t = 0; t < t_total; ++t) {
-      for (int64_t slot = 0; slot < k; ++slot) {
-        if (idx_all[static_cast<size_t>(t * k + slot)] == e_global) {
-          cache->copy_token.push_back(t);
-          cache->copy_slot.push_back(slot);
-          cache->copy_weight.push_back(weight_all[static_cast<size_t>(t * k + slot)]);
-        }
-      }
-    }
-    cache->local_offsets[static_cast<size_t>(e + 1)] =
-        static_cast<int64_t>(cache->copy_token.size());
-  }
-  const int64_t rows = static_cast<int64_t>(cache->copy_token.size());
-  cache->ffn_in = GatherRows(cache->x_all, cache->copy_token);
-
-  ExpertBlock block = RunExperts(cache->ffn_in, cache->local_offsets, w1_loc, w3_loc,
-                                 w2_loc, e_local);
-  cache->fc1_out = std::move(block.fc1);
-  cache->fc3_out = std::move(block.fc3);
-  cache->fc2_in = std::move(block.fc2_in);
-  cache->fc2_out = std::move(block.fc2_out);
-
-  // Gather into a full tensor with combine weights applied, then
-  // reduce-scatter so each rank ends with its own tokens fully combined.
-  Tensor full_out({t_total, h});
-  for (int64_t i = 0; i < rows; ++i) {
-    const int64_t t = cache->copy_token[static_cast<size_t>(i)];
-    const float weight = cache->copy_weight[static_cast<size_t>(i)];
-    const float* row = cache->fc2_out.data() + i * h;
-    float* out = full_out.data() + t * h;
-    for (int64_t c = 0; c < h; ++c) {
-      out[c] += weight * row[c];
-    }
-  }
-  Tensor y_local({t_local, h});
-  ctx.comm->ReduceScatter(ctx.rank, full_out.data(), y_local.data(), t_local * h);
-  RecordDispatchTelemetry(ctx, "ep_dispatch_fwd", /*chunks=*/1, cache->local_offsets,
-                          start_us);
-  return y_local;
+  return PipelinedForwardAG(ctx, config, pipe.num_chunks, w, x_local, routing_local, cache);
 }
 
 EpFfnGrads EpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
@@ -1015,71 +1214,11 @@ EpFfnGrads EpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
                          const std::vector<Tensor>& w3, const std::vector<Tensor>& w2,
                          const Tensor& dy_local, const RoutingResult& routing_local,
                          const EpFfnCache& cache) {
-  const int n = ctx.size();
-  const int64_t e_local = config.num_experts / n;
-  const int64_t h = config.hidden;
-  const int64_t t_local = dy_local.dim(0);
-  const int64_t k = routing_local.top_k;
-
+  const LocalExperts w = LocalWeights(ctx, config.num_experts / ctx.size(), w1, w3, w2);
   if (mode == EpDispatchMode::kAllToAll) {
-    return PipelinedBackwardA2A(ctx, config, w1, w3, w2, dy_local, routing_local, cache);
+    return PipelinedBackwardA2A(ctx, config, w, dy_local, routing_local, cache);
   }
-
-  // --- kAllGatherScatter ---
-  const Tensor* w1_loc = w1.data() + ctx.rank * e_local;
-  const Tensor* w3_loc = w3.data() + ctx.rank * e_local;
-  const Tensor* w2_loc = w2.data() + ctx.rank * e_local;
-  EpFfnGrads grads;
-  grads.dcombine_local = Tensor({t_local, k});
-  const int64_t t_total = t_local * n;
-  const int64_t rows = static_cast<int64_t>(cache.copy_token.size());
-
-  // Backward of reduce-scatter: all-gather the output grads.
-  Tensor dy_all({t_total, h});
-  ctx.comm->AllGather(ctx.rank, dy_local.data(), dy_all.data(), t_local * h);
-
-  // Combine backward per processed copy.
-  Tensor dfc2_out({rows, h});
-  Tensor dcombine_all({t_total, k});
-  for (int64_t i = 0; i < rows; ++i) {
-    const int64_t t = cache.copy_token[static_cast<size_t>(i)];
-    const int64_t slot = cache.copy_slot[static_cast<size_t>(i)];
-    const float weight = cache.copy_weight[static_cast<size_t>(i)];
-    const float* dy_row = dy_all.data() + t * h;
-    const float* fc2_row = cache.fc2_out.data() + i * h;
-    float dot = 0.0f;
-    float* dfc2_row = dfc2_out.data() + i * h;
-    for (int64_t c = 0; c < h; ++c) {
-      dfc2_row[c] = weight * dy_row[c];
-      dot += dy_row[c] * fc2_row[c];
-    }
-    dcombine_all.At(t, slot) = dot;
-  }
-
-  GroupedGemmGrads fc2_grads =
-      GroupedGemmBackward(dfc2_out, cache.fc2_in, cache.local_offsets, w2_loc, e_local);
-  grads.dw2 = std::move(fc2_grads.dweights);
-  SwiGluGrads swiglu_grads = SwiGluBackward(fc2_grads.dx, cache.fc1_out, cache.fc3_out);
-  GroupedGemmGrads fc1_grads =
-      GroupedGemmBackward(swiglu_grads.dgate, cache.ffn_in, cache.local_offsets, w1_loc,
-                          e_local);
-  GroupedGemmGrads fc3_grads =
-      GroupedGemmBackward(swiglu_grads.dlinear, cache.ffn_in, cache.local_offsets, w3_loc,
-                          e_local);
-  grads.dw1 = std::move(fc1_grads.dweights);
-  grads.dw3 = std::move(fc3_grads.dweights);
-  Tensor dffn_in = Add(fc1_grads.dx, fc3_grads.dx);
-
-  // Scatter input grads into the full tensor, reduce-scatter back to owners.
-  Tensor dx_all = ScatterAddRows(dffn_in, cache.copy_token, t_total);
-  grads.dx_local = Tensor({t_local, h});
-  ctx.comm->ReduceScatter(ctx.rank, dx_all.data(), grads.dx_local.data(), t_local * h);
-
-  // Combine-weight grads are partial per expert owner; reduce-scatter over
-  // token owners completes them.
-  ctx.comm->ReduceScatter(ctx.rank, dcombine_all.data(), grads.dcombine_local.data(),
-                           t_local * k);
-  return grads;
+  return PipelinedBackwardAG(ctx, config, w, dy_local, routing_local, cache);
 }
 
 void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,

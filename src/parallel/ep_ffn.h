@@ -15,32 +15,41 @@
 // reference (same routing in, same combine out); expert-weight gradients
 // are complete on the owner rank (no extra sync).
 //
-// The kAllToAll path is a fused pipeline (the paper's §4.2 fused dispatch
-// kernels, Fig 7): a counting-sort permutation built in one O(T·k) pass
-// replaces the per-token pack/sort loops, the wire runs as per-chunk
-// StartAllToAllV handles recorded on an ExecGraph so packing/quantizing
-// chunk i+1 overlaps the transfer of chunk i in both directions, and each
-// local expert's FC1→SwiGLU→FC2 chain fires as soon as its last input chunk
-// lands — expert compute hides the remaining dispatch wire. The backward
-// is one exec graph of the same shape: as each dy chunk lands, a dgrad op
-// computes that chunk's input grads only (dy·W2ᵀ, the SwiGLU backward,
-// dgate·W1ᵀ + dlinear·W3ᵀ) and starts its dx return chunk; the weight
-// gradients run once, after the last dgrad, while the return chunks are
-// on the wire. dx rows are row-split safe, dW keeps its whole-expert row
-// reduction in grouped order and dx its per-token accumulation order, so
-// the schedule changes no bit. An optional
-// quantize-on-pack FP8 mode calls QuantizeInto per row straight into the
-// send staging (codes + per-token scale share one wire payload) instead of
-// running a separate quantization pre-pass. Chunks partition the LOCAL
-// token range in ascending order, so every expert sees its rows in global
-// token order (source rank, then token) for every chunk and worker count.
-// Expert activations and weight gradients, the rematerialized ffn_in and
-// the combine-weight gradients are therefore bitwise equal to the
-// single-rank reference. y and dx are too at top-k <= 2; at larger top-k
-// they are bitwise equal across chunk and worker counts and match the
-// reference only to rounding, because each token's copies are summed in
-// (owner rank asc, slot asc) order while the reference sums them in slot
-// order, and float addition of three or more terms is order-dependent.
+// Both modes are fused pipelines (the paper's §4.2 fused kernels, Fig 7):
+// the wire runs as chunked async collectives recorded on one two-stream
+// ExecGraph per direction, and each chunk's expert GEMMs run as soon as its
+// rows land, hiding the rest of the wire. Chunks partition the LOCAL token
+// range in ascending order (EpPipelineConfig::num_chunks of them).
+//
+//   kAllToAll: a counting-sort permutation built in one O(T·k) pass feeds
+//     per-chunk StartAllToAllV handles, so packing (optionally FP8
+//     quantize-on-pack: QuantizeInto per row straight into the send
+//     staging, codes + per-token scale in one payload) of chunk i+1
+//     overlaps the transfer of chunk i; each chunk's expert outputs start
+//     their combine return as soon as they are computed.
+//   kAllGatherScatter: one routing all-gather (expert id and combine
+//     weight packed in one int64 per copy), then a chunked token
+//     all-gather; chunk c carries local tokens of chunk c of EVERY rank, so
+//     once it lands every grouped row of those tokens runs, its weighted
+//     outputs complete those tokens' full-tensor rows, and chunk c of the
+//     producer-gated reduce-scatter ships while later chunks compute.
+//
+// The backward has the same shape in both modes: as each dy chunk lands, a
+// dgrad op computes that chunk's input grads only (dy·W2ᵀ, the SwiGLU
+// backward, dgate·W1ᵀ + dlinear·W3ᵀ) and releases its dx return (A2A) or
+// dx/dcombine reduce-scatter chunk (AG); the weight gradients run once,
+// after the last dgrad, while those chunks are on the wire. Expert rows are
+// row-split safe, dW keeps its whole-expert row reduction in grouped order
+// and each token accumulates its copies in a fixed order, so the schedule
+// changes no bit. Every expert sees its rows in global token order (source
+// rank, then token) for every chunk and worker count. Expert activations
+// and weight gradients, the rematerialized ffn_in and the combine-weight
+// gradients are therefore bitwise equal to the single-rank reference. y
+// and dx are too at top-k <= 2; at larger top-k they are bitwise equal
+// across chunk and worker counts and match the reference only to rounding,
+// because each token's copies are summed grouped by owner rank while the
+// reference sums them in slot order, and float addition of three or more
+// terms is order-dependent.
 #ifndef MSMOE_SRC_PARALLEL_EP_FFN_H_
 #define MSMOE_SRC_PARALLEL_EP_FFN_H_
 
@@ -62,15 +71,17 @@ enum class EpDispatchMode {
 
 const char* EpDispatchModeName(EpDispatchMode mode);
 
-// Process-wide configuration of the fused kAllToAll dispatch pipeline. Set
-// it before entering the ranks (RunOnRanks); every rank must see the same
-// values — the chunk count shapes the collective sequence. num_chunks is
-// clamped to [1, 64]. fp8_dispatch quantizes the forward dispatch wire
-// (activations) per token, fusing QuantizeInto into the pack; the combine
-// and backward wires stay FP32 (the reference the FP8 path is tested
-// against applies the same per-row round trip). quant.granularity is
-// forced to kPerToken — the only granularity whose scales are per-row and
-// therefore identical whether rows are quantized packed or in place.
+// Process-wide configuration of the fused EP pipelines. Set it before
+// entering the ranks (RunOnRanks); every rank must see the same values —
+// the chunk count shapes the collective sequence of both dispatch modes.
+// num_chunks is clamped to [1, 64] (and, in kAllGatherScatter mode, to the
+// local token count). fp8_dispatch (kAllToAll only) quantizes the forward
+// dispatch wire (activations) per token, fusing QuantizeInto into the
+// pack; the combine and backward wires stay FP32 (the reference the FP8
+// path is tested against applies the same per-row round trip).
+// quant.granularity is forced to kPerToken — the only granularity whose
+// scales are per-row and therefore identical whether rows are quantized
+// packed or in place.
 struct EpPipelineConfig {
   int num_chunks = 4;
   bool fp8_dispatch = false;
@@ -88,6 +99,7 @@ struct EpFfnCache {
   Tensor fc2_in;    // [R, f]
   Tensor fc2_out;   // [R, h]
   std::vector<int64_t> local_offsets;  // [E_local + 1] row ranges
+  int pipeline_chunks = 0;             // C used by the forward (both modes)
 
   // kAllToAll bookkeeping. Send rows are enumerated chunk-major — (chunk,
   // dst rank, token asc, slot asc) — where chunks partition the local token
@@ -99,7 +111,6 @@ struct EpFfnCache {
   std::vector<int64_t> send_token;         // per sent row: local token index
   std::vector<int64_t> send_slot;          // per sent row: top-k slot
   Tensor returned_rows;                    // expert outputs back at the source
-  int pipeline_chunks = 0;                 // C used by the forward
   bool fp8_wire = false;                   // forward dispatch was quantize-on-pack
   QuantConfig wire_quant;
   std::vector<int64_t> send_chunk_counts;  // [C*n] rows in (chunk, dst) segment
@@ -144,7 +155,8 @@ EpFfnGrads EpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
 // of the group must call it together. Fields already present are left
 // untouched. In kAllToAll mode it replays the forward's chunked
 // (quantize-on-pack) dispatch, so the rebuilt ffn_in is bitwise the
-// forward's.
+// forward's; in kAllGatherScatter mode it repeats the token all-gather as
+// one blocking collective.
 void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,
                         EpDispatchMode mode, const Tensor& x_local, EpFfnCache* cache);
 

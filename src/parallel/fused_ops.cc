@@ -1,6 +1,5 @@
 #include "src/parallel/fused_ops.h"
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,11 +14,6 @@
 namespace msmoe {
 
 namespace {
-
-// Chunk count for the EP dispatch pipeline, which has no caller-facing tile
-// knob: enough chunks that expert GEMMs start before the gather finishes,
-// few enough that per-chunk overhead stays negligible at test sizes.
-constexpr int kDispatchChunks = 4;
 
 // Declared stream of the chunk wait/signal ops. The collective itself runs
 // on the rank's comm-proxy thread regardless; this stream only carries the
@@ -173,153 +167,6 @@ Tensor FusedGemmReduceScatter(const ShardContext& ctx, const Tensor& x_local,
   std::unique_ptr<FusedPipeline> pipe =
       RecordFusedGemmReduceScatter(ctx, x_local, w_shard, row_tile);
   (void)pipe->graph.Execute(2);
-  return std::move(pipe->y);
-}
-
-std::unique_ptr<FusedPipeline> RecordFusedAllGatherScatterGroupedGemm(
-    const ShardContext& ctx, const Tensor& x_local,
-    const std::vector<int64_t>& token_expert, const std::vector<Tensor>& expert_weights,
-    int64_t experts_per_rank) {
-  const int n = ctx.size();
-  const int rank = ctx.rank;
-  Communicator* comm = ctx.comm;
-  const int64_t t_local = x_local.dim(0);
-  const int64_t h = x_local.dim(1);
-  MSMOE_CHECK_EQ(static_cast<int64_t>(token_expert.size()), t_local);
-  const int64_t cols = expert_weights[0].dim(1);
-
-  auto pipe = std::make_unique<FusedPipeline>();
-  pipe->staging.Resize(static_cast<int64_t>(n) * t_local * h);
-  // Start the (big) token payload streaming on the comm thread first; the
-  // (small) routing gather and the bucket build below overlap with it —
-  // both happen at record time, before any graph op runs.
-  pipe->handle = comm->StartAllGather(rank, x_local.data(), pipe->staging.data(),
-                                      t_local * h, kDispatchChunks, /*quantum=*/h);
-  std::vector<int64_t> expert_all(static_cast<size_t>(n) * t_local);
-  comm->AllGather(rank, token_expert.data(), expert_all.data(), t_local);
-
-  // Local scatter fused with arrival: iterating sources in ring order yields
-  // rows sorted by (expert, source-arrival) — the §4.2 order that minimizes
-  // per-tile dependency count.
-  const int64_t e_first = static_cast<int64_t>(rank) * experts_per_rank;
-  // Bucket/offset state outlives recording via shared ownership in the
-  // per-chunk closures.
-  struct GroupedState {
-    std::vector<std::vector<int64_t>> bucket;  // local expert -> global tokens
-    std::vector<int64_t> out_begin;            // local expert -> first output row
-  };
-  auto state = std::make_shared<GroupedState>();
-  state->bucket.resize(static_cast<size_t>(experts_per_rank));
-  for (int step = 0; step < n; ++step) {
-    const int src = (rank + step) % n;
-    for (int64_t t = 0; t < t_local; ++t) {
-      const int64_t global_token = static_cast<int64_t>(src) * t_local + t;
-      const int64_t e = expert_all[static_cast<size_t>(global_token)] - e_first;
-      if (e >= 0 && e < experts_per_rank) {
-        state->bucket[static_cast<size_t>(e)].push_back(global_token);
-      }
-    }
-  }
-
-  pipe->row_token.clear();
-  for (const auto& rows : state->bucket) {
-    pipe->row_token.insert(pipe->row_token.end(), rows.begin(), rows.end());
-  }
-  const int64_t total_rows = static_cast<int64_t>(pipe->row_token.size());
-  pipe->y = Tensor::Uninit({total_rows, cols});
-
-  state->out_begin.assign(static_cast<size_t>(experts_per_rank) + 1, 0);
-  for (int64_t e = 0; e < experts_per_rank; ++e) {
-    state->out_begin[static_cast<size_t>(e) + 1] =
-        state->out_begin[static_cast<size_t>(e)] +
-        static_cast<int64_t>(state->bucket[static_cast<size_t>(e)].size());
-  }
-
-  // An all-gather chunk delivers token rows [begin/h, end/h) of every
-  // source, so an expert's GEMM is unblocked once the chunk holding its
-  // highest local-token row arrived.
-  const int chunks = pipe->handle->num_chunks();
-  std::vector<int> token_chunk(static_cast<size_t>(t_local), 0);
-  for (int c = 0; c < chunks; ++c) {
-    for (int64_t t = pipe->handle->layout().begin(c) / h;
-         t < pipe->handle->layout().end(c) / h; ++t) {
-      token_chunk[static_cast<size_t>(t)] = c;
-    }
-  }
-  std::vector<int> last_chunk(static_cast<size_t>(experts_per_rank), -1);
-  for (int64_t e = 0; e < experts_per_rank; ++e) {
-    for (const int64_t g : state->bucket[static_cast<size_t>(e)]) {
-      last_chunk[static_cast<size_t>(e)] =
-          std::max(last_chunk[static_cast<size_t>(e)],
-                   token_chunk[static_cast<size_t>(g % t_local)]);
-    }
-  }
-
-  // One grouped-GEMM op per chunk with newly completed experts, depending
-  // only on that chunk's wait; the experts fire across the intra-rank
-  // worker pool with disjoint output rows.
-  FusedPipeline* p = pipe.get();
-  const std::vector<Tensor>* weights = &expert_weights;
-  int prev_wait = -1;
-  for (int c = 0; c < chunks; ++c) {
-    std::vector<int> wait_deps;
-    if (prev_wait >= 0) {
-      wait_deps.push_back(prev_wait);
-    }
-    const int wait = p->graph.AddComm(
-        ChunkName("dispatch_wait", c), kCommStream,
-        [p, c] { return p->handle->WaitChunk(c); }, std::move(wait_deps));
-    prev_wait = wait;
-
-    std::vector<int64_t> ready;
-    for (int64_t e = 0; e < experts_per_rank; ++e) {
-      if (last_chunk[static_cast<size_t>(e)] == c) {
-        ready.push_back(e);
-      }
-    }
-    if (ready.empty()) {
-      continue;
-    }
-    p->graph.AddCompute(
-        ChunkName("grouped_gemm", c),
-        [p, state, comm, rank, weights, ready, e_first, h, cols] {
-          ScopedCompSpan span(&comm->telemetry(), "fused_grouped_gemm", rank);
-          ParallelFor(static_cast<int64_t>(ready.size()), /*grain=*/1,
-                      [&](int64_t i0, int64_t i1) {
-                        for (int64_t i = i0; i < i1; ++i) {
-                          const int64_t e = ready[static_cast<size_t>(i)];
-                          const auto& rows = state->bucket[static_cast<size_t>(e)];
-                          Tensor ffn_in =
-                              Tensor::Uninit({static_cast<int64_t>(rows.size()), h});
-                          for (size_t r = 0; r < rows.size(); ++r) {
-                            std::copy(p->staging.data() + rows[r] * h,
-                                      p->staging.data() + (rows[r] + 1) * h,
-                                      ffn_in.data() + static_cast<int64_t>(r) * h);
-                          }
-                          const Tensor& w =
-                              (*weights)[static_cast<size_t>(e_first + e)];
-                          Gemm(false, false, static_cast<int64_t>(rows.size()), cols, h,
-                               1.0f, ffn_in.data(), w.data(), 0.0f,
-                               p->y.data() +
-                                   state->out_begin[static_cast<size_t>(e)] * cols);
-                        }
-                      });
-          return Status::Ok();
-        },
-        {wait});
-  }
-  return pipe;
-}
-
-Tensor FusedAllGatherScatterGroupedGemm(const ShardContext& ctx, const Tensor& x_local,
-                                        const std::vector<int64_t>& token_expert,
-                                        const std::vector<Tensor>& expert_weights,
-                                        int64_t experts_per_rank,
-                                        std::vector<int64_t>* row_token) {
-  std::unique_ptr<FusedPipeline> pipe = RecordFusedAllGatherScatterGroupedGemm(
-      ctx, x_local, token_expert, expert_weights, experts_per_rank);
-  (void)pipe->graph.Execute(2);
-  *row_token = std::move(pipe->row_token);
   return std::move(pipe->y);
 }
 

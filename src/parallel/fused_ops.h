@@ -42,7 +42,6 @@ struct FusedPipeline {
   // beta == 0 tile GEMMs before their signal releases them.
   PooledBuffer staging;            // gathered input (AG) or send buffer (RS)
   Tensor y;                        // pipeline output
-  std::vector<int64_t> row_token;  // grouped-GEMM only: token of each row
   std::unique_ptr<CommHandle> handle;
   ExecGraph graph;
 };
@@ -78,28 +77,6 @@ std::unique_ptr<FusedPipeline> RecordFusedGemmReduceScatter(const ShardContext& 
                                                             int64_t row_tile);
 Tensor FusedGemmReduceScatter(const ShardContext& ctx, const Tensor& x_local,
                               const Tensor& w_shard, int64_t row_tile);
-
-// all-gather + local scatter + grouped GEMM (the EP dispatch kernel):
-// gathers every rank's tokens chunk by chunk, selects the rows routed to
-// this rank's experts as each chunk arrives (tokens sorted by expert, then
-// source rank — the §4.2 ordering), and runs the expert GEMM per expert as
-// soon as the expert's rows are complete. Graph shape: chained chunk waits
-// on stream 1; one grouped-GEMM compute op per chunk that completes at
-// least one expert, firing those experts across the intra-rank worker pool.
-//
-// token_expert[t] is the expert of local token t (single-expert routing for
-// this kernel's contract; the full top-k path lives in EpFfnForward).
-// Returns the grouped rows' GEMM output [R_local, cols] and fills
-// *row_token with the global token index of each grouped row.
-std::unique_ptr<FusedPipeline> RecordFusedAllGatherScatterGroupedGemm(
-    const ShardContext& ctx, const Tensor& x_local,
-    const std::vector<int64_t>& token_expert, const std::vector<Tensor>& expert_weights,
-    int64_t experts_per_rank);
-Tensor FusedAllGatherScatterGroupedGemm(const ShardContext& ctx, const Tensor& x_local,
-                                        const std::vector<int64_t>& token_expert,
-                                        const std::vector<Tensor>& expert_weights,
-                                        int64_t experts_per_rank,
-                                        std::vector<int64_t>* row_token);
 
 }  // namespace msmoe
 

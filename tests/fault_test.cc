@@ -465,6 +465,112 @@ TEST(EpPipelineFaultTest, CrashDuringDxReturnAbortsEveryRankThenRerunsBitwise) {
   }
 }
 
+// The kAllGatherScatter forward and backward Start producer-gated
+// reduce-scatters before their graphs run; the graph ops signal them chunk
+// by chunk. A rank that dies issuing one of those Starts aborts graphs in
+// which some chunks are never signalled, so destroying the handles must
+// cancel them mid-graph. Every rank must still return, see the abort, and
+// after RecoveryBarrier rerun bitwise equal to a fault-free run. Op indices
+// count from the plan's installation: the forward issues the routing
+// all-gather, the token all-gather Start, then the reduce-scatter Start
+// (op 2); the backward issues the dy all-gather Start, then the dx
+// reduce-scatter Start (op 1).
+TEST(EpPipelineFaultTest, CrashAtAllGatherModeReduceScatterStartRerunsBitwise) {
+  const int n = 4;
+  ModelConfig config = TinyMoeConfig(8, 4);
+  config.hidden = 16;
+  config.ffn_hidden = 12;
+  const int64_t t_local = 8;
+  const EpDispatchMode mode = EpDispatchMode::kAllGatherScatter;
+  Rng rng(29);
+  std::vector<Tensor> w1, w3, w2;
+  for (int64_t e = 0; e < config.num_experts; ++e) {
+    w1.push_back(Tensor::Randn({config.hidden, config.ffn_hidden}, rng, 0.0f, 0.2f));
+    w3.push_back(Tensor::Randn({config.hidden, config.ffn_hidden}, rng, 0.0f, 0.2f));
+    w2.push_back(Tensor::Randn({config.ffn_hidden, config.hidden}, rng, 0.0f, 0.2f));
+  }
+  const Tensor w_gate = Tensor::Randn({config.hidden, config.num_experts}, rng, 0.0f, 0.3f);
+  const Tensor x_full = Tensor::Randn({n * t_local, config.hidden}, rng);
+  const Tensor dy_full = Tensor::Randn({n * t_local, config.hidden}, rng);
+  RouterConfig router;
+  router.num_experts = config.num_experts;
+  router.top_k = config.top_k;
+
+  const EpPipelineConfig saved = GetEpPipelineConfig();
+  EpPipelineConfig pc;
+  pc.num_chunks = 4;
+  SetEpPipelineConfig(pc);
+  for (const bool in_backward : {false, true}) {
+    SCOPED_TRACE(in_backward ? "crash at the dx reduce-scatter Start"
+                             : "crash at the forward reduce-scatter Start");
+    FlatCommunicator comm(n);
+    comm.SetCollectiveTimeout(10000.0);  // backstop: never a hang
+    std::vector<RoutingResult> routings(static_cast<size_t>(n));
+    std::vector<EpFfnCache> caches(static_cast<size_t>(n));
+    const auto forward = [&](int rank, EpFfnCache* cache) {
+      ShardContext ctx{&comm, rank};
+      return EpFfnForward(ctx, config, mode, w1, w3, w2,
+                          x_full.SliceRows(rank * t_local, (rank + 1) * t_local),
+                          routings[static_cast<size_t>(rank)], cache);
+    };
+    const auto backward = [&](int rank, const EpFfnCache& cache) {
+      ShardContext ctx{&comm, rank};
+      return EpFfnBackward(ctx, config, mode, w1, w3, w2,
+                           dy_full.SliceRows(rank * t_local, (rank + 1) * t_local),
+                           routings[static_cast<size_t>(rank)], cache);
+    };
+    std::vector<Tensor> clean_y(static_cast<size_t>(n)), rerun_y(static_cast<size_t>(n));
+    std::vector<EpFfnGrads> clean(static_cast<size_t>(n)), rerun(static_cast<size_t>(n));
+    RunOnRanks(n, [&](int rank) {
+      const size_t r = static_cast<size_t>(rank);
+      routings[r] = RouteTokens(
+          MatMul(x_full.SliceRows(rank * t_local, (rank + 1) * t_local), w_gate), router);
+      clean_y[r] = forward(rank, &caches[r]);
+      clean[r] = backward(rank, caches[r]);
+    });
+
+    FaultPlan plan(31);
+    plan.AddCrash(/*rank=*/2, /*at_op=*/in_backward ? 1 : 2);
+    comm.set_fault_plan(&plan);
+    std::vector<Status> failed(static_cast<size_t>(n));
+    const auto start = Clock::now();
+    RunOnRanks(n, [&](int rank) {
+      const size_t r = static_cast<size_t>(rank);
+      if (in_backward) {
+        backward(rank, caches[r]);
+      } else {
+        EpFfnCache cache;
+        forward(rank, &cache);
+      }
+      failed[r] = comm.GroupStatus();
+      comm.RecoveryBarrier(rank);
+      EpFfnCache cache;
+      rerun_y[r] = forward(rank, &cache);
+      rerun[r] = backward(rank, cache);
+    });
+    EXPECT_LT(ElapsedMs(start), 60000.0);
+    comm.set_fault_plan(nullptr);
+
+    EXPECT_EQ(plan.crashes_fired(), 1);
+    EXPECT_TRUE(comm.GroupStatus().ok());
+    for (int rank = 0; rank < n; ++rank) {
+      const size_t r = static_cast<size_t>(rank);
+      EXPECT_EQ(failed[r].code(), StatusCode::kAborted) << rank;
+      EXPECT_NE(failed[r].message().find("rank 2"), std::string::npos) << rank;
+      EXPECT_TRUE(BitwiseEqual(rerun_y[r], clean_y[r])) << rank;
+      EXPECT_TRUE(BitwiseEqual(rerun[r].dx_local, clean[r].dx_local)) << rank;
+      EXPECT_TRUE(BitwiseEqual(rerun[r].dcombine_local, clean[r].dcombine_local)) << rank;
+      ASSERT_EQ(rerun[r].dw1.size(), clean[r].dw1.size()) << rank;
+      for (size_t e = 0; e < clean[r].dw1.size(); ++e) {
+        EXPECT_TRUE(BitwiseEqual(rerun[r].dw1[e], clean[r].dw1[e])) << rank << " " << e;
+        EXPECT_TRUE(BitwiseEqual(rerun[r].dw3[e], clean[r].dw3[e])) << rank << " " << e;
+        EXPECT_TRUE(BitwiseEqual(rerun[r].dw2[e], clean[r].dw2[e])) << rank << " " << e;
+      }
+    }
+  }
+  SetEpPipelineConfig(saved);
+}
+
 // --- Straggler detection ----------------------------------------------------
 
 std::vector<CommEvent> SyntheticEvents(int ranks, int collectives, int slow_rank,

@@ -194,100 +194,5 @@ TEST(FusedPipelineGridTest, GemmRsBitwiseAcrossWorkersAndTiles) {
   SetParallelWorkerCount(restore);
 }
 
-TEST(FusedAgScatterGroupedGemmTest, MatchesPerExpertReference) {
-  const int n = 2;
-  const int64_t t_local = 8;
-  const int64_t h = 6;
-  const int64_t cols = 4;
-  const int64_t experts = 4;
-  const int64_t e_local = experts / n;
-
-  Rng rng(3);
-  std::vector<Tensor> x_locals;
-  std::vector<std::vector<int64_t>> routing(n);
-  for (int rank = 0; rank < n; ++rank) {
-    x_locals.push_back(Tensor::Randn({t_local, h}, rng));
-    for (int64_t t = 0; t < t_local; ++t) {
-      routing[static_cast<size_t>(rank)].push_back(
-          static_cast<int64_t>(rng.NextIndex(experts)));
-    }
-  }
-  std::vector<Tensor> weights;
-  for (int64_t e = 0; e < experts; ++e) {
-    weights.push_back(Tensor::Randn({h, cols}, rng));
-  }
-
-  FlatCommunicator group(n);
-  std::vector<Tensor> y(n);
-  std::vector<std::vector<int64_t>> row_tokens(n);
-  RunOnRanks(n, [&](int rank) {
-    ShardContext ctx{&group, rank};
-    y[static_cast<size_t>(rank)] = FusedAllGatherScatterGroupedGemm(
-        ctx, x_locals[static_cast<size_t>(rank)], routing[static_cast<size_t>(rank)],
-        weights, e_local, &row_tokens[static_cast<size_t>(rank)]);
-  });
-
-  // Reference: per global token, y_row = x_token @ W[expert]; check each
-  // grouped row against it and that every kept row belongs to a local expert.
-  auto global_x = [&](int64_t token) {
-    const int src = static_cast<int>(token / t_local);
-    return x_locals[static_cast<size_t>(src)].SliceRows(token % t_local,
-                                                        token % t_local + 1);
-  };
-  auto global_expert = [&](int64_t token) {
-    const int src = static_cast<int>(token / t_local);
-    return routing[static_cast<size_t>(src)][static_cast<size_t>(token % t_local)];
-  };
-  int64_t total_rows = 0;
-  for (int rank = 0; rank < n; ++rank) {
-    const auto& tokens = row_tokens[static_cast<size_t>(rank)];
-    total_rows += static_cast<int64_t>(tokens.size());
-    for (size_t i = 0; i < tokens.size(); ++i) {
-      const int64_t e = global_expert(tokens[i]);
-      EXPECT_EQ(e / e_local, rank) << "row routed to wrong owner";
-      Tensor ref = MatMul(global_x(tokens[i]), weights[static_cast<size_t>(e)]);
-      for (int64_t c = 0; c < cols; ++c) {
-        EXPECT_NEAR(y[static_cast<size_t>(rank)].At(static_cast<int64_t>(i), c),
-                    ref.At(0, c), 1e-6);
-      }
-    }
-    // Rows are grouped by expert (non-decreasing local expert index).
-    int64_t previous = -1;
-    for (int64_t token : tokens) {
-      const int64_t e = global_expert(token);
-      EXPECT_GE(e, previous);
-      previous = e;
-    }
-  }
-  EXPECT_EQ(total_rows, n * t_local);  // every token processed exactly once
-}
-
-TEST(FusedAgScatterGroupedGemmTest, EmptyExpertHandled) {
-  // All tokens to expert 0: rank 1's experts get nothing.
-  const int n = 2;
-  const int64_t t_local = 4;
-  const int64_t h = 4;
-  Rng rng(4);
-  std::vector<Tensor> weights;
-  for (int e = 0; e < 4; ++e) {
-    weights.push_back(Tensor::Randn({h, 3}, rng));
-  }
-  Tensor x = Tensor::Randn({t_local, h}, rng);
-  std::vector<int64_t> routing(static_cast<size_t>(t_local), 0);
-
-  FlatCommunicator group(n);
-  std::vector<int64_t> rows0, rows1;
-  RunOnRanks(n, [&](int rank) {
-    ShardContext ctx{&group, rank};
-    std::vector<int64_t>& rows = rank == 0 ? rows0 : rows1;
-    Tensor y = FusedAllGatherScatterGroupedGemm(ctx, x, routing, weights, 2, &rows);
-    if (rank == 1) {
-      EXPECT_EQ(y.dim(0), 0);
-    }
-  });
-  EXPECT_EQ(rows0.size(), static_cast<size_t>(n * t_local));
-  EXPECT_TRUE(rows1.empty());
-}
-
 }  // namespace
 }  // namespace msmoe

@@ -482,13 +482,14 @@ TEST_F(FfnParallelTest, BothEpModesAgree) {
   }
 }
 
-// The fused kAllToAll pipeline runs its expert GEMMs per chunk outside
+// Both fused EP pipelines run their expert GEMMs per chunk outside
 // GroupedGemm and must still account for them in KernelStats: one forward
 // plus backward across 4 ranks moves the grouped-GEMM FLOPs by exactly
 // 6·h·f per kept copy (three forward GEMMs) plus 12·h·f per kept copy (the
 // dx and dW GEMMs of each).
-TEST_F(FfnParallelTest, PipelinedA2ARecordsExpertGemmFlops) {
+TEST_P(FfnParallelTest, PipelinedEpRecordsExpertGemmFlops) {
   const int n = 4;
+  const EpDispatchMode mode = GetParam();
   const int64_t t_local = x_full_.dim(0) / n;
   const int64_t h = config_.hidden;
   const int64_t f = config_.ffn_hidden;
@@ -514,10 +515,8 @@ TEST_F(FfnParallelTest, PipelinedA2ARecordsExpertGemmFlops) {
     Tensor x_local = x_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
     Tensor dy_local = dy_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
     EpFfnCache cache;
-    EpFfnForward(ctx, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_, x_local, routing,
-                 &cache);
-    EpFfnBackward(ctx, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_, dy_local, routing,
-                  cache);
+    EpFfnForward(ctx, config_, mode, w1_, w3_, w2_, x_local, routing, &cache);
+    EpFfnBackward(ctx, config_, mode, w1_, w3_, w2_, dy_local, routing, cache);
   });
   const KernelStatsSnapshot after = GetKernelStats();
   SetEpPipelineConfig(saved);

@@ -547,19 +547,20 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 3),       // streams
                        ::testing::Values<uint64_t>(1, 7, 23)));
 
-// --- Fused EP dispatch pipeline: the kAllToAll path must match the
+// --- Fused EP dispatch pipelines: both dispatch modes must match the
 // single-rank reference (tests/ref_ffn.h) — outputs, gradients, AND the
-// rematerialized ffn_in — for every (worker count, chunk count, routing
-// skew, top-k) cell. Every expert sees its rows in global token order, so
-// ffn_in, dW and dcombine are bitwise the reference's at any top-k. y and
-// dx sum a token's copies in (owner rank, slot) order where the reference
-// uses slot order: with two copies the sum is order-free and they are
-// bitwise too; at top-4 they are pinned bitwise to the workers=1, chunks=1
-// cell and to the reference within 1e-5. Skewed logits concentrate tokens
-// on one or two experts so ragged per-(chunk, rank) segments (including
-// empty ones) are exercised, and chunk counts that don't divide the token
-// count produce uneven chunks. To shrink a failing cell, rerun with the
-// printed parameters. ---
+// rematerialized ffn_in — for every (dispatch mode, worker count, chunk
+// count, routing skew, top-k) cell. Every expert sees its rows in global
+// token order, so ffn_in, dW and dcombine are bitwise the reference's at
+// any top-k. y and dx sum a token's copies grouped by owner rank (slot
+// order within a rank; the all-gather mode's reduce-scatter then adds the
+// ranks' partials) where the reference uses slot order: with two copies
+// the sum is order-free and they are bitwise too; at top-4 they are pinned
+// bitwise to the workers=1, chunks=1 cell and to the reference within
+// 1e-5. Skewed logits concentrate tokens on one or two experts so ragged
+// per-(chunk, rank) segments (including empty ones) are exercised, and
+// chunk counts that don't divide the token count produce uneven chunks.
+// To shrink a failing cell, rerun with the printed parameters. ---
 
 bool BitwiseEqual(const Tensor& a, const Tensor& b) {
   return a.numel() == b.numel() &&
@@ -573,10 +574,11 @@ struct EpPipelineRun {
 };
 
 class EpPipelineSweepTest
-    : public ::testing::TestWithParam<std::tuple<int, int, uint64_t, int64_t>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<EpDispatchMode, int, int, uint64_t, int64_t>> {};
 
 TEST_P(EpPipelineSweepTest, PipelineMatchesSingleRankReference) {
-  const auto [workers, chunks, seed, top_k] = GetParam();
+  const auto [mode, workers, chunks, seed, top_k] = GetParam();
   const int n = 4;
   ModelConfig config = TinyMoeConfig(8, top_k);
   config.hidden = 32;
@@ -612,9 +614,9 @@ TEST_P(EpPipelineSweepTest, PipelineMatchesSingleRankReference) {
   const int restore_workers = ParallelWorkerCount();
   const EpPipelineConfig saved = GetEpPipelineConfig();
 
-  // Drops ffn_in after the forward and rebuilds it with the collective
-  // replay before the backward, so the backward result also pins the
-  // rematerialized dispatch.
+  // Drops ffn_in, fc2_in and x_all after the forward and rebuilds them
+  // with the collective replay before the backward, so the backward result
+  // also pins the rematerialized dispatch.
   const auto run = [&](int run_workers, int run_chunks, EpPipelineRun* out) {
     SetParallelWorkerCount(run_workers);
     EpPipelineConfig pc;
@@ -636,12 +638,13 @@ TEST_P(EpPipelineSweepTest, PipelineMatchesSingleRankReference) {
       RoutingResult routing = RouteTokens(
           logits_full.SliceRows(rank * t_local, (rank + 1) * t_local), router);
       EpFfnCache cache;
-      out->y[r] = EpFfnForward(ctx, config, EpDispatchMode::kAllToAll, w1, w3, w2,
-                               x_local, routing, &cache);
+      out->y[r] = EpFfnForward(ctx, config, mode, w1, w3, w2, x_local, routing, &cache);
       cache.ffn_in = Tensor();
-      EpFfnRematerialize(ctx, config, EpDispatchMode::kAllToAll, x_local, &cache);
-      EpFfnGrads grads = EpFfnBackward(ctx, config, EpDispatchMode::kAllToAll, w1,
-                                       w3, w2, dy_local, routing, cache);
+      cache.fc2_in = Tensor();
+      cache.x_all = Tensor();
+      EpFfnRematerialize(ctx, config, mode, x_local, &cache);
+      EpFfnGrads grads =
+          EpFfnBackward(ctx, config, mode, w1, w3, w2, dy_local, routing, cache);
       out->ffn_in[r] = std::move(cache.ffn_in);
       out->dx[r] = std::move(grads.dx_local);
       out->dcombine[r] = std::move(grads.dcombine_local);
@@ -665,8 +668,9 @@ TEST_P(EpPipelineSweepTest, PipelineMatchesSingleRankReference) {
     const size_t r = static_cast<size_t>(rank);
     const auto cell = [&](const char* what) {
       return ::testing::Message()
-             << what << " workers=" << workers << " chunks=" << chunks
-             << " seed=" << seed << " top_k=" << top_k << " rank=" << rank;
+             << what << " mode=" << EpDispatchModeName(mode) << " workers=" << workers
+             << " chunks=" << chunks << " seed=" << seed << " top_k=" << top_k
+             << " rank=" << rank;
     };
     const auto rows = [&](const Tensor& full) {
       return full.SliceRows(rank * t_local, (rank + 1) * t_local);
@@ -703,7 +707,9 @@ TEST_P(EpPipelineSweepTest, PipelineMatchesSingleRankReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     PipelineGrid, EpPipelineSweepTest,
-    ::testing::Combine(::testing::Values(1, 3),        // workers
+    ::testing::Combine(::testing::Values(EpDispatchMode::kAllToAll,
+                                         EpDispatchMode::kAllGatherScatter),
+                       ::testing::Values(1, 3),        // workers
                        ::testing::Values(1, 2, 5, 8),  // chunks
                        ::testing::Values<uint64_t>(11, 29),
                        ::testing::Values<int64_t>(2, 4)));  // top-k

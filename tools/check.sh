@@ -18,7 +18,10 @@
 # buffer-corruption paths, and parallel_test / property_test /
 # macro_layer_test / distributed_lm_test under ASan cover the
 # Workspace-staged dispatch packing and the per-chunk expert staging;
-# the perf smoke fails if the blocked GEMM kernel ever regresses
+# parallel_test / property_test / fault_test / macro_layer_test /
+# distributed_lm_test under UBSan (aborting on the first report) cover the
+# ragged per-chunk copies of both EP dispatch pipelines, empty segments
+# included; the perf smoke fails if the blocked GEMM kernel ever regresses
 # below the naive reference, the overlap smoke fails if the fused
 # all-gather+GEMM pipeline stops beating the unfused sequence, and the
 # scheduler smoke fails if a searched schedule replayed on the real
@@ -86,6 +89,17 @@ cmake --build build-asan -j --target tensor_test fault_test elastic_test model_t
 ./build-asan/tests/macro_layer_test
 ./build-asan/tests/distributed_lm_test
 ./build-asan/tests/obs_test
+
+echo
+echo "== UBSan: parallel_test + property_test + fault_test + macro_layer_test + distributed_lm_test =="
+cmake -B build-ubsan -S . -DMSMOE_SANITIZE=undefined >/dev/null
+cmake --build build-ubsan -j --target parallel_test property_test fault_test \
+  macro_layer_test distributed_lm_test >/dev/null
+./build-ubsan/tests/parallel_test
+./build-ubsan/tests/property_test
+./build-ubsan/tests/fault_test
+./build-ubsan/tests/macro_layer_test
+./build-ubsan/tests/distributed_lm_test
 
 echo
 echo "== perf smoke: Release blocked GEMM >= naive (bench_micro_kernels --check) =="
