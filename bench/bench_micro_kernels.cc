@@ -1,9 +1,10 @@
 // Microbenchmarks of the real (CPU) kernels underpinning the numeric
 // substrate: GEMM (naive reference vs the blocked/SIMD production kernel,
 // single- and multi-worker), grouped GEMM, attention core, router,
-// quantization, and thread-rank collectives. These measure actual wall time
-// (unlike the figure benches, which report simulated cluster time) using the
-// warmup + median-of-N helper so numbers are stable run-to-run.
+// quantization, the trainer's amax-scaled FP8 cast, and thread-rank
+// collectives. These measure actual wall time (unlike the figure benches,
+// which report simulated cluster time) using the warmup + median-of-N helper
+// so numbers are stable run-to-run.
 //
 // Besides the human-readable table, writes BENCH_kernels.json (one record
 // per kernel case, naive vs blocked GFLOP/s) — the wall-clock baseline for
@@ -25,6 +26,7 @@
 #include "src/model/attention.h"
 #include "src/model/grouped_gemm.h"
 #include "src/model/router.h"
+#include "src/numerics/fp8.h"
 #include "src/numerics/quantize.h"
 #include "src/tensor/gemm_kernel.h"
 #include "src/tensor/tensor_ops.h"
@@ -169,6 +171,34 @@ TimedCase RunQuantizeCase() {
   return TimedCase{"quantize_fp8_per_token", stats.median_s * 1e6, stats};
 }
 
+// Throughput of Fp8RoundScaledInPlace, the trainer's FP8 parameter cast, on
+// one buffer the size of the e2ebench model's parameters. Reps re-round the
+// same buffer: after the warm-up it sits on the FP8 grid, which runs the
+// same per-element code as a fresh tensor.
+struct Fp8CastCase {
+  int workers = 0;
+  double ns_per_element = 0.0;
+  TimingStats stats;
+};
+
+constexpr int64_t kFp8CastElements = 6'700'000;
+
+Fp8CastCase RunFp8CastCase(int workers) {
+  Rng rng(6);
+  std::vector<float> data(static_cast<size_t>(kFp8CastElements));
+  for (auto& value : data) {
+    value = static_cast<float>(rng.NextGaussian(0.0, 0.02));
+  }
+  const int restore_workers = ParallelWorkerCount();
+  SetParallelWorkerCount(workers);
+  const TimingStats stats = TimedStatsOfN(kWarmup, kReps, [&] {
+    Fp8RoundScaledInPlace(data.data(), kFp8CastElements);
+  });
+  SetParallelWorkerCount(restore_workers);
+  return Fp8CastCase{workers, stats.median_s * 1e9 / static_cast<double>(kFp8CastElements),
+                     stats};
+}
+
 TimedCase RunAllToAllCase() {
   const int n = 4;
   const int64_t count = 16384;
@@ -235,6 +265,13 @@ int Main(int argc, char** argv) {
     std::printf("%-28s %12.1f\n", timed_rows[i].op.c_str(), timed_rows[i].median_us);
   }
 
+  const std::vector<Fp8CastCase> fp8_rows = {RunFp8CastCase(1), RunFp8CastCase(2)};
+  std::printf("\n%-28s %8s %12s\n", "fp8 scaled cast", "workers", "ns/element");
+  for (const Fp8CastCase& row : fp8_rows) {
+    std::printf("%-28s %8d %12.3f\n", "fp8_round_scaled_6.7M", row.workers,
+                row.ns_per_element);
+  }
+
   const KernelStatsSnapshot stats = GetKernelStats();
   std::printf("\nKernelStats (this process): gemm calls=%llu flops=%.3e time=%.1f ms | "
               "grouped calls=%llu flops=%.3e time=%.1f ms\n",
@@ -271,6 +308,16 @@ int Main(int argc, char** argv) {
       std::fprintf(json, "%s\n  {\"op\": \"%s\", \"median_us\": %.1f, %s}",
                    i == 0 ? "" : ",", timed_rows[i].op.c_str(),
                    timed_rows[i].median_us, spread.c_str());
+    }
+    std::fprintf(json, "\n], \"fp8_cast\": [");
+    for (size_t i = 0; i < fp8_rows.size(); ++i) {
+      std::string spread;
+      AppendTimingSpreadJson(&spread, "wall", fp8_rows[i].stats);
+      std::fprintf(json,
+                   "%s\n  {\"op\": \"fp8_round_scaled\", \"elements\": %lld, "
+                   "\"workers\": %d, \"ns_per_element\": %.4f, %s}",
+                   i == 0 ? "" : ",", static_cast<long long>(kFp8CastElements),
+                   fp8_rows[i].workers, fp8_rows[i].ns_per_element, spread.c_str());
     }
     std::fprintf(json,
                  "\n], \"kernel_stats\": {\"gemm_calls\": %llu, \"gemm_flops\": %.3e, "

@@ -226,10 +226,43 @@ CollectiveGroup::CollectiveGroup(int size)
   MSMOE_CHECK_GT(size, 0);
 }
 
+Status CollectiveGroup::AbortedExit(std::unique_lock<std::mutex>& lock) {
+  cv_.wait(lock, [this] { return readers_ == 0; });
+  return abort_status_;
+}
+
 Status CollectiveGroup::SyncPoint(int member) {
   std::unique_lock<std::mutex> lock(mu_);
+  return SyncPointLocked(lock, member, /*opens_reads=*/false);
+}
+
+Status CollectiveGroup::EnterCollective(int member) {
+  std::unique_lock<std::mutex> lock(mu_);
+  return SyncPointLocked(lock, member, /*opens_reads=*/true);
+}
+
+Status CollectiveGroup::ExitCollective(int member, std::optional<uint64_t> wire_bytes) {
+  const bool on_wire = wire_bytes.has_value() && wire_model_enabled();
+  const auto wire_deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double, std::micro>(on_wire ? WireTimeUs(*wire_bytes) : 0.0));
+  std::unique_lock<std::mutex> lock(mu_);
+  // Only AbortedExit waits on readers_, and only once the group is aborted:
+  // a healthy group skips the wake-up.
+  if (--readers_ == 0 && !abort_status_.ok()) {
+    cv_.notify_all();
+  }
+  if (on_wire && cv_.wait_until(lock, wire_deadline, [this] { return !abort_status_.ok(); })) {
+    return AbortedExit(lock);
+  }
+  return SyncPointLocked(lock, member, /*opens_reads=*/false);
+}
+
+Status CollectiveGroup::SyncPointLocked(std::unique_lock<std::mutex>& lock, int member,
+                                        bool opens_reads) {
   if (!abort_status_.ok()) {
-    return abort_status_;
+    return AbortedExit(lock);
   }
   const uint64_t generation = generation_;
   if (member >= 0) {
@@ -239,6 +272,9 @@ Status CollectiveGroup::SyncPoint(int member) {
     arrived_ = 0;
     std::fill(arrived_members_.begin(), arrived_members_.end(), 0);
     ++generation_;
+    if (opens_reads) {
+      readers_ = size_;
+    }
     cv_.notify_all();
     return Status::Ok();
   }
@@ -275,7 +311,7 @@ Status CollectiveGroup::SyncPoint(int member) {
         culprit_rank_ = culprit;
       }
       cv_.notify_all();
-      return abort_status_;
+      return AbortedExit(lock);
     }
   }
   if (generation_ != generation) {
@@ -283,25 +319,10 @@ Status CollectiveGroup::SyncPoint(int member) {
     // completed even if an abort was raised immediately after.
     return Status::Ok();
   }
-  return abort_status_;
+  return AbortedExit(lock);
 }
 
 Status CollectiveGroup::TryBarrier(int member) { return SyncPoint(member); }
-
-Status CollectiveGroup::EmulateWire(uint64_t bytes) {
-  if (!wire_model_enabled()) {
-    return Status::Ok();
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::micro>(WireTimeUs(bytes)));
-  std::unique_lock<std::mutex> lock(mu_);
-  // Every member sleeps the same duration concurrently, so the collective
-  // as a whole is delayed by one wire time. An abort cuts the sleep short.
-  cv_.wait_until(lock, deadline, [this] { return !abort_status_.ok(); });
-  return abort_status_;
-}
 
 void CollectiveGroup::Abort(Status status, int culprit_rank) {
   MSMOE_CHECK(!status.ok()) << "CollectiveGroup::Abort needs a non-OK status";
@@ -379,10 +400,10 @@ void CollectiveGroup::PublishCounts(int member, const std::vector<int64_t>& coun
 Status CollectiveGroup::TryExchangeScalars(int member, double value,
                                            std::vector<double>* out) {
   scalars_[static_cast<size_t>(member)] = value;
-  MSMOE_RETURN_IF_ERROR(SyncPoint(member));
+  MSMOE_RETURN_IF_ERROR(EnterCollective(member));
   *out = scalars_;
   AccountOnce(member, RingVolume(sizeof(double)));
-  return SyncPoint(member);
+  return ExitCollective(member);
 }
 
 Status CollectiveGroup::TryExchangeCounts(int member,
@@ -390,9 +411,9 @@ Status CollectiveGroup::TryExchangeCounts(int member,
                                           std::vector<int64_t>* all_counts) {
   MSMOE_CHECK_EQ(static_cast<int>(send_counts.size()), size_);
   PublishCounts(member, send_counts);
-  MSMOE_RETURN_IF_ERROR(SyncPoint(member));
+  MSMOE_RETURN_IF_ERROR(EnterCollective(member));
   *all_counts = counts_;
-  return SyncPoint(member);
+  return ExitCollective(member);
 }
 
 std::vector<double> CollectiveGroup::ExchangeScalars(int member, double value) {

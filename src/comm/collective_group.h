@@ -54,6 +54,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -156,15 +157,14 @@ class CollectiveGroup {
   template <typename T>
   Status TryAllGather(int member, const T* send, T* recv, int64_t count) {
     PublishSend(member, send);
-    MSMOE_RETURN_IF_ERROR(SyncPoint(member));
+    MSMOE_RETURN_IF_ERROR(EnterCollective(member));
     for (int src = 0; src < size_; ++src) {
       std::memcpy(recv + static_cast<int64_t>(src) * count, SendSlot<T>(src),
                   static_cast<size_t>(count) * sizeof(T));
     }
     const uint64_t volume = RingVolume(count * static_cast<int64_t>(sizeof(T)));
     AccountOnce(member, volume);
-    MSMOE_RETURN_IF_ERROR(EmulateWire(volume));
-    return SyncPoint(member);
+    return ExitCollective(member, volume);
   }
   template <typename T>
   void AllGather(int member, const T* send, T* recv, int64_t count) {
@@ -176,7 +176,7 @@ class CollectiveGroup {
   template <typename T>
   Status TryReduceScatter(int member, const T* send, T* recv, int64_t count) {
     PublishSend(member, send);
-    MSMOE_RETURN_IF_ERROR(SyncPoint(member));
+    MSMOE_RETURN_IF_ERROR(EnterCollective(member));
     const int64_t offset = static_cast<int64_t>(member) * count;
     for (int64_t i = 0; i < count; ++i) {
       double sum = 0.0;
@@ -187,8 +187,7 @@ class CollectiveGroup {
     }
     const uint64_t volume = RingVolume(count * static_cast<int64_t>(sizeof(T)));
     AccountOnce(member, volume);
-    MSMOE_RETURN_IF_ERROR(EmulateWire(volume));
-    return SyncPoint(member);
+    return ExitCollective(member, volume);
   }
   template <typename T>
   void ReduceScatter(int member, const T* send, T* recv, int64_t count) {
@@ -199,7 +198,7 @@ class CollectiveGroup {
   template <typename T>
   Status TryAllReduce(int member, const T* send, T* recv, int64_t count) {
     PublishSend(member, send);
-    MSMOE_RETURN_IF_ERROR(SyncPoint(member));
+    MSMOE_RETURN_IF_ERROR(EnterCollective(member));
     for (int64_t i = 0; i < count; ++i) {
       double sum = 0.0;
       for (int src = 0; src < size_; ++src) {
@@ -209,8 +208,7 @@ class CollectiveGroup {
     }
     const uint64_t volume = 2 * RingVolume(count * static_cast<int64_t>(sizeof(T)));
     AccountOnce(member, volume);
-    MSMOE_RETURN_IF_ERROR(EmulateWire(volume));
-    return SyncPoint(member);
+    return ExitCollective(member, volume);
   }
   template <typename T>
   void AllReduce(int member, const T* send, T* recv, int64_t count) {
@@ -223,7 +221,7 @@ class CollectiveGroup {
     if (member == root) {
       PublishSend(member, data);
     }
-    MSMOE_RETURN_IF_ERROR(SyncPoint(member));
+    MSMOE_RETURN_IF_ERROR(EnterCollective(member));
     if (member != root) {
       std::memcpy(data, SendSlot<T>(root), static_cast<size_t>(count) * sizeof(T));
     }
@@ -231,8 +229,7 @@ class CollectiveGroup {
         static_cast<uint64_t>(size_ - 1) *
         static_cast<uint64_t>(count * static_cast<int64_t>(sizeof(T)));
     AccountOnce(member, volume);
-    MSMOE_RETURN_IF_ERROR(EmulateWire(volume));
-    return SyncPoint(member);
+    return ExitCollective(member, volume);
   }
   template <typename T>
   void Broadcast(int member, int root, T* data, int64_t count) {
@@ -244,7 +241,7 @@ class CollectiveGroup {
   template <typename T>
   Status TryAllToAll(int member, const T* send, T* recv, int64_t count) {
     PublishSend(member, send);
-    MSMOE_RETURN_IF_ERROR(SyncPoint(member));
+    MSMOE_RETURN_IF_ERROR(EnterCollective(member));
     for (int src = 0; src < size_; ++src) {
       std::memcpy(recv + static_cast<int64_t>(src) * count,
                   SendSlot<T>(src) + static_cast<int64_t>(member) * count,
@@ -252,8 +249,7 @@ class CollectiveGroup {
     }
     const uint64_t volume = A2AVolume(count * static_cast<int64_t>(sizeof(T)));
     AccountOnce(member, volume);
-    MSMOE_RETURN_IF_ERROR(EmulateWire(volume));
-    return SyncPoint(member);
+    return ExitCollective(member, volume);
   }
   template <typename T>
   void AllToAll(int member, const T* send, T* recv, int64_t count) {
@@ -275,7 +271,7 @@ class CollectiveGroup {
     MSMOE_CHECK_EQ(static_cast<int>(send_counts.size()), size_);
     PublishSend(member, send);
     PublishCounts(member, send_counts);
-    MSMOE_RETURN_IF_ERROR(SyncPoint(member));
+    MSMOE_RETURN_IF_ERROR(EnterCollective(member));
     recv_counts->assign(static_cast<size_t>(size_), 0);
     int64_t recv_offset = 0;
     for (int src = 0; src < size_; ++src) {
@@ -306,8 +302,7 @@ class CollectiveGroup {
     if (wire_out != nullptr) {
       *wire_out = total;
     }
-    MSMOE_RETURN_IF_ERROR(EmulateWire(total));
-    return SyncPoint(member);
+    return ExitCollective(member, total);
   }
   template <typename T>
   uint64_t AllToAllV(int member, const T* send, const std::vector<int64_t>& send_counts,
@@ -351,11 +346,24 @@ class CollectiveGroup {
   // arrival bitmap, so a timeout can attribute the fault to the members
   // that never showed up.
   Status SyncPoint(int member = -1);
+  Status SyncPointLocked(std::unique_lock<std::mutex>& lock, int member, bool opens_reads);
 
-  // Blocks for WireTimeUs(bytes) of idle time when the wire model is on
-  // (every member sleeps concurrently, so one collective costs one wire
-  // time). Abortable: a group Abort wakes sleepers with the sticky status.
-  Status EmulateWire(uint64_t bytes);
+  // A collective is EnterCollective (the entry barrier), this member's
+  // reads of its peers' published slots and send buffers, then
+  // ExitCollective. The entry barrier opens a read phase that each member
+  // ends in ExitCollective, and a member that fails on an abort leaves
+  // only once every read phase has ended. Without that wait it could
+  // publish its next collective's counts, or rewrite or free the buffer a
+  // peer is still copying from. The wait is bounded: readers are running
+  // memcpys, not waiting on anything.
+  Status EnterCollective(int member);
+  // Ends the read phase, blocks for WireTimeUs(*wire_bytes) of idle time
+  // when a volume is given and the wire model is on (every member sleeps
+  // concurrently, so one collective costs one wire time; an Abort cuts the
+  // sleep short), then runs the exit barrier.
+  Status ExitCollective(int member, std::optional<uint64_t> wire_bytes = std::nullopt);
+  // Returns the sticky abort status once no member is in a read phase.
+  Status AbortedExit(std::unique_lock<std::mutex>& lock);
 
   // Ring all-gather / reduce-scatter volume per the standard (g-1)/g * total.
   uint64_t RingVolume(int64_t bytes_per_member) const {
@@ -385,6 +393,7 @@ class CollectiveGroup {
   std::condition_variable cv_;
   int arrived_ = 0;
   uint64_t generation_ = 0;
+  int readers_ = 0;  // members still reading after the last entry barrier
   Status abort_status_;               // first error; OK = healthy
   std::atomic<bool> aborted_{false};  // lock-free fast-path mirror
   std::atomic<bool> retired_{false};  // abort is permanent (stale epoch)

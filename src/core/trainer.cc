@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -72,14 +71,7 @@ void RoundParams(LmParams& params, TrainPrecision precision) {
       // Per-tensor amax-scaled E4M3 (the multi-precision optimizer of §7
       // stores FP8 compute copies; masters stay FP32 in Adam).
       params.ForEach([](const std::string&, Tensor& tensor) {
-        float amax = 0.0f;
-        for (int64_t i = 0; i < tensor.numel(); ++i) {
-          amax = std::max(amax, std::fabs(tensor[i]));
-        }
-        const float scale = amax > 0.0f ? amax / Fp8MaxFinite(Fp8Format::kE4M3) : 1.0f;
-        for (int64_t i = 0; i < tensor.numel(); ++i) {
-          tensor[i] = Fp8RoundE4M3(tensor[i] / scale) * scale;
-        }
+        Fp8RoundScaledInPlace(tensor.data(), tensor.numel());
       });
       return;
   }
@@ -92,15 +84,7 @@ void RoundActivationsPerToken(Tensor& hidden) {
   const int64_t rows = hidden.dim(0);
   const int64_t cols = hidden.dim(1);
   for (int64_t r = 0; r < rows; ++r) {
-    float amax = 0.0f;
-    float* row = hidden.data() + r * cols;
-    for (int64_t c = 0; c < cols; ++c) {
-      amax = std::max(amax, std::fabs(row[c]));
-    }
-    const float scale = amax > 0.0f ? amax / Fp8MaxFinite(Fp8Format::kE4M3) : 1.0f;
-    for (int64_t c = 0; c < cols; ++c) {
-      row[c] = Fp8RoundE4M3(row[c] / scale) * scale;
-    }
+    Fp8RoundScaledInPlace(hidden.data() + r * cols, cols);
   }
 }
 
@@ -118,15 +102,7 @@ void RoundFlatForWire(float* data, int64_t count, TrainPrecision precision) {
     case TrainPrecision::kFp8: {
       constexpr int64_t kGroup = 128;
       for (int64_t begin = 0; begin < count; begin += kGroup) {
-        const int64_t end = std::min(count, begin + kGroup);
-        float amax = 0.0f;
-        for (int64_t i = begin; i < end; ++i) {
-          amax = std::max(amax, std::fabs(data[i]));
-        }
-        const float scale = amax > 0.0f ? amax / Fp8MaxFinite(Fp8Format::kE4M3) : 1.0f;
-        for (int64_t i = begin; i < end; ++i) {
-          data[i] = Fp8RoundE4M3(data[i] / scale) * scale;
-        }
+        Fp8RoundScaledInPlace(data + begin, std::min(kGroup, count - begin));
       }
       return;
     }

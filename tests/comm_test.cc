@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <mutex>
@@ -719,6 +721,76 @@ TEST(AsyncCollectiveTest, WireModelAddsAbortableBlockingTime) {
           .count();
   EXPECT_LT(abort_us, 40000.0);
   EXPECT_FALSE(slow.GroupStatus().ok());
+}
+
+// An abort lets a member leave its collective early. It must not then
+// publish its next collective's counts, or reuse or free its send buffer,
+// while a peer that passed the same entry barrier is still copying. Each
+// round aborts the group at a random moment during a stream of count
+// exchanges and variable all-to-alls; every member then issues the next
+// ones at once and finally frees its buffers. Under TSan this is the
+// regression for that race. In every build it checks that each exchange
+// that succeeds delivers the right data and that every one after the
+// abort fails.
+TEST(CollectiveGroupAbortTest, NextExchangeAfterAbortDoesNotRaceThePeerCopy) {
+  constexpr int kMembers = 4;
+  constexpr int64_t kBlock = 1 << 16;  // floats per destination: a long copy phase
+  constexpr int kRounds = 24;
+  CollectiveGroup group(kMembers);
+  Rng rng(41);
+  for (int round = 0; round < kRounds; ++round) {
+    const auto abort_after = std::chrono::microseconds(rng.NextIndex(3000));
+    std::vector<std::atomic<int>> completed(kMembers);
+    std::vector<std::thread> members;
+    for (int member = 0; member < kMembers; ++member) {
+      members.emplace_back([&, member] {
+        const std::vector<int64_t> counts(kMembers, kBlock);
+        std::vector<float> send(static_cast<size_t>(kMembers * kBlock));
+        for (int dst = 0; dst < kMembers; ++dst) {
+          std::fill(send.begin() + dst * kBlock, send.begin() + (dst + 1) * kBlock,
+                    static_cast<float>(member * kMembers + dst));
+        }
+        std::vector<float> recv(static_cast<size_t>(kMembers * kBlock));
+        std::vector<int64_t> all_counts;
+        std::vector<int64_t> recv_counts;
+        for (;;) {
+          if (!group.TryExchangeCounts(member, counts, &all_counts).ok()) {
+            break;
+          }
+          EXPECT_EQ(all_counts, std::vector<int64_t>(kMembers * kMembers, kBlock));
+          if (!group.TryAllToAllV(member, send.data(), counts, recv.data(), &recv_counts)
+                   .ok()) {
+            break;
+          }
+          for (int src = 0; src < kMembers; ++src) {
+            EXPECT_EQ(recv[static_cast<size_t>(src * kBlock + kBlock - 1)],
+                      static_cast<float>(src * kMembers + member));
+          }
+          ++completed[static_cast<size_t>(member)];
+        }
+        // The abort is sticky: the next exchange and all-to-all fail at once.
+        EXPECT_FALSE(group.TryExchangeCounts(member, counts, &all_counts).ok());
+        EXPECT_FALSE(
+            group.TryAllToAllV(member, send.data(), counts, recv.data(), &recv_counts).ok());
+      });
+    }
+    // Abort at a random moment once the members are streaming collectives.
+    while (std::accumulate(completed.begin(), completed.end(), 0) < kMembers) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(abort_after);
+    group.Abort(Aborted("injected abort"));
+    for (std::thread& thread : members) {
+      thread.join();
+    }
+    // A collective whose exit barrier closed before the abort completed on
+    // every member; one cut by it failed on every member.
+    for (int member = 1; member < kMembers; ++member) {
+      EXPECT_EQ(completed[static_cast<size_t>(member)].load(), completed[0].load())
+          << "round " << round << " member " << member;
+    }
+    group.ResetAbort();
+  }
 }
 
 // Rank threads are exactly the "concurrent external callers" case of the

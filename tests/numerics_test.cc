@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <vector>
 
+#include "src/base/parallel_for.h"
 #include "src/base/rng.h"
 #include "src/numerics/bf16.h"
 #include "src/numerics/fp8.h"
 #include "src/numerics/quantize.h"
+#include "tests/ref_fp8.h"
 
 namespace msmoe {
 namespace {
@@ -125,6 +131,104 @@ TEST(Fp8Test, EncodeDecodeAllCodesStable) {
     const uint8_t re = Fp8Encode(value, Fp8Format::kE4M3);
     EXPECT_EQ(Fp8Decode(re, Fp8Format::kE4M3), value) << code;
   }
+}
+
+constexpr Fp8Format kBothFormats[] = {Fp8Format::kE4M3, Fp8Format::kE5M2};
+
+int MantissaBits(Fp8Format format) { return format == Fp8Format::kE4M3 ? 3 : 2; }
+
+// Encode must equal the reference code for the float with these bits.
+::testing::AssertionResult EncodeMatchesReference(uint32_t bits, Fp8Format format) {
+  const float value = std::bit_cast<float>(bits);
+  const uint8_t got = Fp8Encode(value, format);
+  const uint8_t want = ref_fp8::RefFp8Encode(value, format);
+  if (got == want) {
+    return ::testing::AssertionSuccess();
+  }
+  char message[96];
+  std::snprintf(message, sizeof(message), "E%dM%d bits 0x%08x: code 0x%02x, reference 0x%02x",
+                7 - MantissaBits(format), MantissaBits(format), bits, got, want);
+  return ::testing::AssertionFailure() << message;
+}
+
+TEST(Fp8CodecTest, MatchesReferenceOnRoundingBoundaries) {
+  for (const Fp8Format format : kBothFormats) {
+    const int m = MantissaBits(format);
+    // The top M + 1 mantissa bits are the kept mantissa plus the round bit;
+    // the 22 - M bits below them decide ties ({0, 1, half - 1, half,
+    // half + 1, all ones} hits every tie and carry case).
+    const int low_bits = 22 - m;
+    const uint32_t half = 1u << (low_bits - 1);
+    const uint32_t all_ones = (1u << low_bits) - 1u;
+    const uint32_t lows[] = {0u, 1u, half - 1u, half, half + 1u, all_ones};
+    for (const uint32_t sign : {0u, 0x80000000u}) {
+      for (uint32_t exponent = 0; exponent < 256; ++exponent) {
+        for (uint32_t top = 0; top < (1u << (m + 1)); ++top) {
+          for (const uint32_t low : lows) {
+            const uint32_t bits = sign | (exponent << 23) | (top << low_bits) | low;
+            ASSERT_TRUE(EncodeMatchesReference(bits, format));
+          }
+        }
+      }
+      // Infinity and NaNs with quiet, signalling and full payloads.
+      for (const uint32_t special :
+           {0x7F800000u, 0x7FC00000u, 0x7F800001u, 0x7FBFFFFFu, 0x7FFFFFFFu, 0x7FC00001u}) {
+        ASSERT_TRUE(EncodeMatchesReference(sign | special, format));
+      }
+    }
+    Rng rng(0xF8C0DEC);
+    for (int i = 0; i < (1 << 24); ++i) {
+      ASSERT_TRUE(EncodeMatchesReference(static_cast<uint32_t>(rng.NextU64()), format));
+    }
+    for (int code = 0; code < 256; ++code) {
+      const uint8_t c = static_cast<uint8_t>(code);
+      EXPECT_EQ(std::bit_cast<uint32_t>(Fp8Decode(c, format)),
+                std::bit_cast<uint32_t>(ref_fp8::RefFp8Decode(c, format)))
+          << "code " << code;
+    }
+  }
+}
+
+// A span with what the trainer's casts meet: Gaussian bulk, exact zeros of
+// both signs, values small enough to land in the FP8 subnormals, NaN and
+// (in `with_inf` spans) an infinity that makes the scale infinite.
+std::vector<float> CastInput(int64_t n, uint64_t seed, bool with_inf) {
+  Rng rng(seed);
+  std::vector<float> data(static_cast<size_t>(n));
+  for (float& x : data) {
+    x = static_cast<float>(rng.NextGaussian(0.0, 0.02));
+  }
+  for (int64_t i = 0; i < n; i += 97) {
+    data[static_cast<size_t>(i)] *= 1e-5f;
+  }
+  data[0] = -0.0f;
+  data[static_cast<size_t>(n / 3)] = 0.0f;
+  data[static_cast<size_t>(n / 2)] = std::numeric_limits<float>::quiet_NaN();
+  if (with_inf) {
+    data[static_cast<size_t>(n - 1)] = -std::numeric_limits<float>::infinity();
+  }
+  return data;
+}
+
+TEST(Fp8CodecTest, ScaledRoundMatchesReferenceAtAnyWorkerCount) {
+  // Fp8RoundScaledInPlace is the trainer's parameter (per tensor),
+  // activation (per row) and ZeRO wire (per 128-group) cast; long spans are
+  // split across workers, short ones run inline.
+  const int prev_workers = ParallelWorkerCount();
+  for (const int workers : {1, 3}) {
+    SetParallelWorkerCount(workers);
+    for (const int64_t n : {int64_t{128}, int64_t{100}, int64_t{4096}, int64_t{300001}}) {
+      for (const bool with_inf : {false, true}) {
+        std::vector<float> got = CastInput(n, static_cast<uint64_t>(n), with_inf);
+        std::vector<float> want = got;
+        Fp8RoundScaledInPlace(got.data(), n);
+        ref_fp8::RefFp8RoundScaledInPlace(want.data(), n);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+            << "n=" << n << " workers=" << workers << " inf=" << with_inf;
+      }
+    }
+  }
+  SetParallelWorkerCount(prev_workers);
 }
 
 class QuantizeGranularityTest : public ::testing::TestWithParam<QuantGranularity> {};

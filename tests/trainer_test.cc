@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "src/base/arena.h"
@@ -9,6 +11,7 @@
 #include "src/core/trainer.h"
 #include "src/model/checkpoint.h"
 #include "src/model/flat_adam.h"
+#include "tests/ref_fp8.h"
 
 namespace msmoe {
 namespace {
@@ -27,6 +30,41 @@ NumericTrainConfig SmallConfig() {
   config.adam.lr = 3e-3;
   config.precision = TrainPrecision::kFp32;
   return config;
+}
+
+TEST(Fp8CastTest, RoundParamsMatchesReferenceAtAnyWorkerCount) {
+  // The FP8 compute copy is the per-tensor amax-scaled E4M3 cast of every
+  // parameter, bitwise the reference formula whether the long tensors run
+  // on one worker or split across three.
+  ModelConfig model = TinyMoeConfig(4, 2);
+  model.hidden = 64;
+  model.ffn_hidden = 640;  // 40960-element expert weights: split across workers
+  Rng rng(3);
+  const LmParams init = LmParams::Init(model, rng);
+  LmParams want = init;
+  int64_t largest = 0;
+  want.ForEach([&largest](const std::string&, Tensor& tensor) {
+    ref_fp8::RefFp8RoundScaledInPlace(tensor.data(), tensor.numel());
+    largest = std::max(largest, tensor.numel());
+  });
+  ASSERT_GT(largest, 32768);
+  const std::vector<Tensor*> want_tensors = want.TensorList();
+
+  const int prev_workers = ParallelWorkerCount();
+  for (const int workers : {1, 3}) {
+    SetParallelWorkerCount(workers);
+    LmParams got = init;
+    RoundParams(got, TrainPrecision::kFp8);
+    const std::vector<Tensor*> got_tensors = got.TensorList();
+    ASSERT_EQ(got_tensors.size(), want_tensors.size());
+    for (size_t t = 0; t < got_tensors.size(); ++t) {
+      EXPECT_EQ(std::memcmp(got_tensors[t]->data(), want_tensors[t]->data(),
+                            static_cast<size_t>(got_tensors[t]->numel()) * sizeof(float)),
+                0)
+          << "tensor " << t << " workers " << workers;
+    }
+  }
+  SetParallelWorkerCount(prev_workers);
 }
 
 TEST(FlatAdamTest, MatchesTensorAdamOnSameProblem) {

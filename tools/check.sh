@@ -21,7 +21,10 @@
 # parallel_test / property_test / fault_test / macro_layer_test /
 # distributed_lm_test under UBSan (aborting on the first report) cover the
 # ragged per-chunk copies of both EP dispatch pipelines, empty segments
-# included; the perf smoke fails if the blocked GEMM kernel ever regresses
+# included, and numerics_test / trainer_test under UBSan cover the FP8
+# codec's integer arithmetic on float bits; the FP8 sweep fails if the
+# codec differs from the scalar reference (tests/ref_fp8.h) on any of the
+# 2^32 float inputs of either format; the perf smoke fails if the blocked GEMM kernel ever regresses
 # below the naive reference, the overlap smoke fails if the fused
 # all-gather+GEMM pipeline stops beating the unfused sequence, and the
 # scheduler smoke fails if a searched schedule replayed on the real
@@ -91,15 +94,17 @@ cmake --build build-asan -j --target tensor_test fault_test elastic_test model_t
 ./build-asan/tests/obs_test
 
 echo
-echo "== UBSan: parallel_test + property_test + fault_test + macro_layer_test + distributed_lm_test =="
+echo "== UBSan: parallel_test + property_test + fault_test + macro_layer_test + distributed_lm_test + numerics_test + trainer_test =="
 cmake -B build-ubsan -S . -DMSMOE_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j --target parallel_test property_test fault_test \
-  macro_layer_test distributed_lm_test >/dev/null
+  macro_layer_test distributed_lm_test numerics_test trainer_test >/dev/null
 ./build-ubsan/tests/parallel_test
 ./build-ubsan/tests/property_test
 ./build-ubsan/tests/fault_test
 ./build-ubsan/tests/macro_layer_test
 ./build-ubsan/tests/distributed_lm_test
+./build-ubsan/tests/numerics_test
+./build-ubsan/tests/trainer_test
 
 echo
 echo "== perf smoke: Release blocked GEMM >= naive (bench_micro_kernels --check) =="
@@ -107,6 +112,11 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j --target bench_micro_kernels \
   bench_fig15_intra_overlap bench_ablation_scheduler >/dev/null
 (cd build-release/bench && ./bench_micro_kernels --check)
+
+echo
+echo "== FP8 codec sweep: all 2^32 floats, E4M3 and E5M2, bitwise equal to tests/ref_fp8.h (fp8_sweep) =="
+cmake --build build-release -j --target fp8_sweep >/dev/null
+./build-release/tools/fp8_sweep
 
 echo
 echo "== overlap smoke: fused all-gather+GEMM beats unfused (bench_fig15 --check) =="
