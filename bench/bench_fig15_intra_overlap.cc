@@ -109,8 +109,9 @@ MeasuredReport RunMeasured() {
   auto run_unfused = [&] {
     RunOnRanks(kRanks, [&](int rank) {
       float* recv = gathered[static_cast<size_t>(rank)].data();
-      comm.AllGather(rank, x_locals[static_cast<size_t>(rank)].data(), recv,
-                     kRowsLocal * kK);
+      const Status status =
+          comm.AllGather(rank, x_locals[static_cast<size_t>(rank)].data(), recv, kRowsLocal * kK);
+      MSMOE_CHECK(status.ok()) << status.ToString();
       Tensor y({kRanks * kRowsLocal, kCols});
       Gemm(false, false, kRanks * kRowsLocal, kCols, kK, 1.0f, recv, w.data(), 0.0f,
            y.data());

@@ -207,7 +207,8 @@ TimedCase RunAllToAllCase() {
     RunOnRanks(n, [&](int rank) {
       std::vector<float> send(static_cast<size_t>(n) * count, 1.0f);
       std::vector<float> recv(static_cast<size_t>(n) * count);
-      group.AllToAll(rank, send.data(), recv.data(), count);
+      const Status status = group.AllToAll(rank, send.data(), recv.data(), count);
+      MSMOE_CHECK(status.ok()) << status.ToString();
     });
   });
   return TimedCase{"all_to_all_4r_16k", stats.median_s * 1e6, stats};

@@ -75,7 +75,9 @@ int main() {
       // across ranks; expert entries are owner-complete + zero elsewhere.
       for (Tensor* tensor : grads.TensorList()) {
         std::vector<float> reduced(static_cast<size_t>(tensor->numel()));
-        sync.AllReduce(rank, tensor->data(), reduced.data(), tensor->numel());
+        const Status status =
+            sync.AllReduce(rank, tensor->data(), reduced.data(), tensor->numel());
+        MSMOE_CHECK(status.ok()) << status.ToString();
         std::copy(reduced.begin(), reduced.end(), tensor->data());
       }
       adam.Step(grads.TensorListConst());

@@ -209,10 +209,6 @@ CommEvent ChunkEvent(const AsyncOpParams& params, CommOp op, const char* algorit
   return event;
 }
 
-uint64_t RingBytes(int n, int64_t bytes) {
-  return static_cast<uint64_t>(n - 1) * static_cast<uint64_t>(bytes);
-}
-
 }  // namespace
 
 std::unique_ptr<CommHandle> AsyncCommDriver::StartAllGather(
@@ -238,8 +234,9 @@ std::unique_ptr<CommHandle> AsyncCommDriver::StartAllGather(
       const int64_t elems = h->layout().size(c);
       const int64_t chunk_bytes = elems * eb;
       uint8_t* scratch = ws.Bytes("asynccomm.ag.scratch", n * chunk_bytes);
-      const Status status = params.channel->TryAllGather(
-          params.member, send_bytes + begin * eb, scratch, chunk_bytes);
+      uint64_t wire = 0;
+      const Status status = params.channel->AllGather(
+          params.member, send_bytes + begin * eb, scratch, chunk_bytes, &wire);
       if (!status.ok()) {
         h->barrier_.Cancel(status);
         break;
@@ -256,9 +253,8 @@ std::unique_ptr<CommHandle> AsyncCommDriver::StartAllGather(
                     scratch + static_cast<int64_t>(src) * chunk_bytes,
                     static_cast<size_t>(chunk_bytes));
       }
-      params.telemetry->Record(ChunkEvent(params, CommOp::kAllGather, "ring", elems,
-                                          RingBytes(n, chunk_bytes), c, chunk_count,
-                                          start));
+      params.telemetry->Record(
+          ChunkEvent(params, CommOp::kAllGather, "ring", elems, wire, c, chunk_count, start));
       h->barrier_.MarkReady(c);
     }
     h->MarkRetired();
@@ -296,8 +292,9 @@ std::unique_ptr<CommHandle> AsyncCommDriver::StartReduceScatter(
                     send + static_cast<int64_t>(dst) * count + begin,
                     static_cast<size_t>(elems) * sizeof(float));
       }
-      status = params.channel->TryReduceScatter(params.member, scratch,
-                                                recv + begin, elems);
+      uint64_t wire = 0;
+      status = params.channel->ReduceScatter(params.member, scratch, recv + begin, elems,
+                                             &wire);
       if (!status.ok()) {
         h->barrier_.Cancel(status);
         break;
@@ -306,10 +303,8 @@ std::unique_ptr<CommHandle> AsyncCommDriver::StartReduceScatter(
         FlipOneBit(recv + begin, elems * static_cast<int64_t>(sizeof(float)),
                    params.fault.corrupt_seed);
       }
-      params.telemetry->Record(
-          ChunkEvent(params, CommOp::kReduceScatter, "ring", elems,
-                     RingBytes(n, elems * static_cast<int64_t>(sizeof(float))), c,
-                     chunk_count, start));
+      params.telemetry->Record(ChunkEvent(params, CommOp::kReduceScatter, "ring", elems,
+                                          wire, c, chunk_count, start));
       h->barrier_.MarkReady(c);
     }
     h->MarkRetired();
@@ -339,7 +334,7 @@ std::unique_ptr<CommHandle> AsyncCommDriver::StartAllToAllV(
     // event — it is not payload).
     std::vector<int64_t> all_counts;
     Status status =
-        params.channel->TryExchangeCounts(params.member, send_counts, &all_counts);
+        params.channel->ExchangeCounts(params.member, send_counts, &all_counts);
     if (!status.ok()) {
       h->barrier_.Cancel(status);
       h->MarkRetired();
@@ -408,9 +403,9 @@ std::unique_ptr<CommHandle> AsyncCommDriver::StartAllToAllV(
       }
       uint8_t* recv_scratch = ws.Bytes("asynccomm.a2av.recv", recv_total * eb);
       uint64_t wire = 0;
-      Status st = params.channel->TryAllToAllV(params.member, send_scratch,
-                                               chunk_send_bytes, recv_scratch,
-                                               &chunk_recv_counts, &wire);
+      Status st = params.channel->AllToAllV(params.member, send_scratch, chunk_send_bytes,
+                                            recv_scratch, recv_total * eb,
+                                            &chunk_recv_counts, &wire);
       if (!st.ok()) {
         h->barrier_.Cancel(st);
         break;

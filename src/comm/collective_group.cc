@@ -220,6 +220,7 @@ CollectiveGroup::CollectiveGroup(int size)
     : size_(size),
       send_slots_(static_cast<size_t>(size), nullptr),
       counts_(static_cast<size_t>(size) * static_cast<size_t>(size), 0),
+      recv_capacity_(static_cast<size_t>(size), 0),
       scalars_(static_cast<size_t>(size), 0.0),
       arrived_members_(static_cast<size_t>(size), 0),
       recovery_barrier_(size) {
@@ -322,7 +323,7 @@ Status CollectiveGroup::SyncPointLocked(std::unique_lock<std::mutex>& lock, int 
   return AbortedExit(lock);
 }
 
-Status CollectiveGroup::TryBarrier(int member) { return SyncPoint(member); }
+Status CollectiveGroup::Barrier(int member) { return SyncPoint(member); }
 
 void CollectiveGroup::Abort(Status status, int culprit_rank) {
   MSMOE_CHECK(!status.ok()) << "CollectiveGroup::Abort needs a non-OK status";
@@ -397,29 +398,26 @@ void CollectiveGroup::PublishCounts(int member, const std::vector<int64_t>& coun
   }
 }
 
-Status CollectiveGroup::TryExchangeScalars(int member, double value,
-                                           std::vector<double>* out) {
+Status CollectiveGroup::ExchangeScalars(int member, double value, std::vector<double>* out,
+                                        uint64_t* wire_out) {
   scalars_[static_cast<size_t>(member)] = value;
   MSMOE_RETURN_IF_ERROR(EnterCollective(member));
   *out = scalars_;
-  AccountOnce(member, RingVolume(sizeof(double)));
+  const uint64_t volume = RingVolume(sizeof(double));
+  AccountOnce(member, volume);
+  if (wire_out != nullptr) {
+    *wire_out = volume;
+  }
   return ExitCollective(member);
 }
 
-Status CollectiveGroup::TryExchangeCounts(int member,
-                                          const std::vector<int64_t>& send_counts,
-                                          std::vector<int64_t>* all_counts) {
+Status CollectiveGroup::ExchangeCounts(int member, const std::vector<int64_t>& send_counts,
+                                       std::vector<int64_t>* all_counts) {
   MSMOE_CHECK_EQ(static_cast<int>(send_counts.size()), size_);
   PublishCounts(member, send_counts);
   MSMOE_RETURN_IF_ERROR(EnterCollective(member));
   *all_counts = counts_;
   return ExitCollective(member);
-}
-
-std::vector<double> CollectiveGroup::ExchangeScalars(int member, double value) {
-  std::vector<double> out;
-  (void)TryExchangeScalars(member, value, &out);
-  return out;
 }
 
 Status RunOnRanksStatus(int world_size, const std::function<void(int)>& fn,

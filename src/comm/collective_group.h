@@ -17,7 +17,10 @@
 // traffic) and adds it to wire_bytes() exactly once, on member 0
 // (AccountOnce). No collective accumulates per-member shares — so
 // wire_bytes() always reads as "bytes the fabric moved", regardless of
-// which member queries it or how asymmetric the op was (AllToAllV).
+// which member queries it or how asymmetric the op was (AllToAllV). Each
+// data-moving collective also reports that volume through its optional
+// `wire_out` parameter (identical on every member); the Communicator and
+// the chunked async path record it from there.
 //
 // Emulated wire clock: on this substrate a collective's data movement is a
 // memcpy, so comm/compute overlap would be unmeasurable in wall-clock time.
@@ -28,17 +31,17 @@
 // and tests enable it to measure fused-op pipelining as real elapsed time.
 //
 // Fault tolerance: the internal rendezvous is a CANCELLABLE barrier, not a
-// raw std::barrier. Every collective has a Status-returning Try* form; a
-// member that never arrives (crashed or stuck rank) surfaces as
+// raw std::barrier, and every collective returns its own [[nodiscard]]
+// Status. A member that never arrives (crashed or stuck rank) surfaces as
 // Status(kDeadlineExceeded) on the first member whose configured deadline
 // expires and as the same sticky error on every other member, instead of a
 // process-wide hang. Abort(status) cancels the barrier explicitly (fault
 // injection, failed health checks); once aborted every collective fails
 // fast with the FIRST error raised until all members rendezvous through
-// RecoveryBarrier(), which clears the fault. The void-returning legacy
-// collectives discard the status — they are for fault-free contexts, and
-// under an abort they return with the output buffers unmodified; callers in
-// fault-aware paths must use Try* or check status().
+// RecoveryBarrier(), which clears the fault. A collective that returns Ok
+// completed on every member, even if a fault lands right after its exit
+// barrier closed. One that fails leaves its outputs untouched when the fault
+// came before its entry barrier closed, and unspecified otherwise.
 //
 // Algorithm code should not call this class directly — issue collectives
 // through the instrumented msmoe::Communicator layer (communicator.h),
@@ -55,6 +58,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -143,38 +147,33 @@ class CollectiveGroup {
   // --- Collectives ---------------------------------------------------------
   //
   // All members must call every collective, with their own member index.
-  // Try* forms return the group status; the void forms discard it (see the
-  // header comment).
+  // Each returns the op's own status (see the header comment); `wire_out`
+  // (optional) receives the op's total analytic wire bytes.
 
-  // The member-less forms are kept for call sites outside any rank context
-  // (tests poking a barrier from an anonymous thread); they cannot
-  // contribute to timeout culprit attribution.
-  Status TryBarrier(int member = -1);
-  void Barrier(int member = -1) { (void)TryBarrier(member); }
+  // The member-less form is kept for call sites outside any rank context
+  // (tests poking a barrier from an anonymous thread); it cannot contribute
+  // to timeout culprit attribution.
+  Status Barrier(int member = -1);
 
   // recv must hold size() * count elements; member m's send block lands at
   // recv[m * count .. (m+1) * count).
   template <typename T>
-  Status TryAllGather(int member, const T* send, T* recv, int64_t count) {
+  Status AllGather(int member, const T* send, T* recv, int64_t count,
+                   uint64_t* wire_out = nullptr) {
     PublishSend(member, send);
     MSMOE_RETURN_IF_ERROR(EnterCollective(member));
     for (int src = 0; src < size_; ++src) {
       std::memcpy(recv + static_cast<int64_t>(src) * count, SendSlot<T>(src),
                   static_cast<size_t>(count) * sizeof(T));
     }
-    const uint64_t volume = RingVolume(count * static_cast<int64_t>(sizeof(T)));
-    AccountOnce(member, volume);
-    return ExitCollective(member, volume);
-  }
-  template <typename T>
-  void AllGather(int member, const T* send, T* recv, int64_t count) {
-    (void)TryAllGather(member, send, recv, count);
+    return Complete(member, RingVolume(count * static_cast<int64_t>(sizeof(T))), wire_out);
   }
 
   // send holds size() * count elements; member m receives the sum of all
   // members' m-th blocks into recv (count elements).
   template <typename T>
-  Status TryReduceScatter(int member, const T* send, T* recv, int64_t count) {
+  Status ReduceScatter(int member, const T* send, T* recv, int64_t count,
+                       uint64_t* wire_out = nullptr) {
     PublishSend(member, send);
     MSMOE_RETURN_IF_ERROR(EnterCollective(member));
     const int64_t offset = static_cast<int64_t>(member) * count;
@@ -185,18 +184,13 @@ class CollectiveGroup {
       }
       recv[i] = static_cast<T>(sum);
     }
-    const uint64_t volume = RingVolume(count * static_cast<int64_t>(sizeof(T)));
-    AccountOnce(member, volume);
-    return ExitCollective(member, volume);
-  }
-  template <typename T>
-  void ReduceScatter(int member, const T* send, T* recv, int64_t count) {
-    (void)TryReduceScatter(member, send, recv, count);
+    return Complete(member, RingVolume(count * static_cast<int64_t>(sizeof(T))), wire_out);
   }
 
   // Element-wise sum over all members; every member receives the full result.
   template <typename T>
-  Status TryAllReduce(int member, const T* send, T* recv, int64_t count) {
+  Status AllReduce(int member, const T* send, T* recv, int64_t count,
+                   uint64_t* wire_out = nullptr) {
     PublishSend(member, send);
     MSMOE_RETURN_IF_ERROR(EnterCollective(member));
     for (int64_t i = 0; i < count; ++i) {
@@ -206,18 +200,14 @@ class CollectiveGroup {
       }
       recv[i] = static_cast<T>(sum);
     }
-    const uint64_t volume = 2 * RingVolume(count * static_cast<int64_t>(sizeof(T)));
-    AccountOnce(member, volume);
-    return ExitCollective(member, volume);
-  }
-  template <typename T>
-  void AllReduce(int member, const T* send, T* recv, int64_t count) {
-    (void)TryAllReduce(member, send, recv, count);
+    return Complete(member, 2 * RingVolume(count * static_cast<int64_t>(sizeof(T))),
+                    wire_out);
   }
 
   // Member `root`'s buffer is copied to every member.
   template <typename T>
-  Status TryBroadcast(int member, int root, T* data, int64_t count) {
+  Status Broadcast(int member, int root, T* data, int64_t count,
+                   uint64_t* wire_out = nullptr) {
     if (member == root) {
       PublishSend(member, data);
     }
@@ -225,21 +215,14 @@ class CollectiveGroup {
     if (member != root) {
       std::memcpy(data, SendSlot<T>(root), static_cast<size_t>(count) * sizeof(T));
     }
-    const uint64_t volume =
-        static_cast<uint64_t>(size_ - 1) *
-        static_cast<uint64_t>(count * static_cast<int64_t>(sizeof(T)));
-    AccountOnce(member, volume);
-    return ExitCollective(member, volume);
-  }
-  template <typename T>
-  void Broadcast(int member, int root, T* data, int64_t count) {
-    (void)TryBroadcast(member, root, data, count);
+    return Complete(member, RingVolume(count * static_cast<int64_t>(sizeof(T))), wire_out);
   }
 
   // Fixed-size all-to-all: send and recv hold size() * count elements;
   // recv[src * count ..] = member src's block addressed to this member.
   template <typename T>
-  Status TryAllToAll(int member, const T* send, T* recv, int64_t count) {
+  Status AllToAll(int member, const T* send, T* recv, int64_t count,
+                  uint64_t* wire_out = nullptr) {
     PublishSend(member, send);
     MSMOE_RETURN_IF_ERROR(EnterCollective(member));
     for (int src = 0; src < size_; ++src) {
@@ -247,31 +230,45 @@ class CollectiveGroup {
                   SendSlot<T>(src) + static_cast<int64_t>(member) * count,
                   static_cast<size_t>(count) * sizeof(T));
     }
-    const uint64_t volume = A2AVolume(count * static_cast<int64_t>(sizeof(T)));
-    AccountOnce(member, volume);
-    return ExitCollective(member, volume);
-  }
-  template <typename T>
-  void AllToAll(int member, const T* send, T* recv, int64_t count) {
-    (void)TryAllToAll(member, send, recv, count);
+    return Complete(member, A2AVolume(count * static_cast<int64_t>(sizeof(T))), wire_out);
   }
 
   // Variable all-to-all. send_counts[d] elements go to member d, packed
   // contiguously in destination order. On return, *recv_counts[s] holds the
   // element count received from member s and recv is packed in source order.
-  // recv must have capacity for the total received (callers can size it via
-  // ExchangeCounts below, or pass a vector to the overload in comm_util).
-  // *wire_out (optional) receives the total off-rank wire bytes of this
-  // collective (identical on every member; accounted once per the header
-  // convention).
+  // recv holds recv_capacity elements (callers can size it exactly via
+  // ExchangeCounts below). Every member's capacity is published with the
+  // counts, so if ANY member would receive more than its capacity, every
+  // member aborts the group with kInvalidArgument before anyone copies.
   template <typename T>
-  Status TryAllToAllV(int member, const T* send, const std::vector<int64_t>& send_counts,
-                      T* recv, std::vector<int64_t>* recv_counts,
-                      uint64_t* wire_out = nullptr) {
+  Status AllToAllV(int member, const T* send, const std::vector<int64_t>& send_counts,
+                   T* recv, int64_t recv_capacity, std::vector<int64_t>* recv_counts,
+                   uint64_t* wire_out = nullptr) {
     MSMOE_CHECK_EQ(static_cast<int>(send_counts.size()), size_);
     PublishSend(member, send);
     PublishCounts(member, send_counts);
+    recv_capacity_[static_cast<size_t>(member)] = recv_capacity;
     MSMOE_RETURN_IF_ERROR(EnterCollective(member));
+    // The published counts matrix and capacities are stable between the
+    // barriers, so every member reaches the same verdict and computes the
+    // same total off-rank volume.
+    uint64_t total = 0;
+    for (int dst = 0; dst < size_; ++dst) {
+      int64_t incoming = 0;
+      for (int src = 0; src < size_; ++src) {
+        incoming += CountAt(src, dst);
+        if (src != dst) {
+          total += static_cast<uint64_t>(CountAt(src, dst)) * sizeof(T);
+        }
+      }
+      const int64_t capacity = recv_capacity_[static_cast<size_t>(dst)];
+      if (incoming > capacity) {
+        Abort(InvalidArgument("AllToAllV: member " + std::to_string(dst) +
+                              " would receive " + std::to_string(incoming) +
+                              " elements into a buffer of " + std::to_string(capacity)));
+        return ExitCollective(member);
+      }
+    }
     recv_counts->assign(static_cast<size_t>(size_), 0);
     int64_t recv_offset = 0;
     for (int src = 0; src < size_; ++src) {
@@ -288,42 +285,21 @@ class CollectiveGroup {
       (*recv_counts)[static_cast<size_t>(src)] = n;
       recv_offset += n;
     }
-    // The published counts matrix is stable between the barriers, so every
-    // member computes the same total off-rank volume.
-    uint64_t total = 0;
-    for (int src = 0; src < size_; ++src) {
-      for (int dst = 0; dst < size_; ++dst) {
-        if (src != dst) {
-          total += static_cast<uint64_t>(CountAt(src, dst)) * sizeof(T);
-        }
-      }
-    }
-    AccountOnce(member, total);
-    if (wire_out != nullptr) {
-      *wire_out = total;
-    }
-    return ExitCollective(member, total);
-  }
-  template <typename T>
-  uint64_t AllToAllV(int member, const T* send, const std::vector<int64_t>& send_counts,
-                     T* recv, std::vector<int64_t>* recv_counts) {
-    uint64_t wire = 0;
-    (void)TryAllToAllV(member, send, send_counts, recv, recv_counts, &wire);
-    return wire;
+    return Complete(member, total, wire_out);
   }
 
   // Shares each member's scalar value into *out (size() entries).
   // Accounted as an all-gather of one double: (size-1) * sizeof(double).
-  Status TryExchangeScalars(int member, double value, std::vector<double>* out);
-  std::vector<double> ExchangeScalars(int member, double value);
+  Status ExchangeScalars(int member, double value, std::vector<double>* out,
+                         uint64_t* wire_out = nullptr);
 
   // Shares each member's per-destination counts; *all_counts becomes the
   // full size() x size() matrix (row src, column dst). This is the
   // metadata rendezvous of AllToAllV exposed on its own, for the chunked
   // async driver — like the monolithic op's counts matrix it rides the
   // barrier's shared slots and accounts no wire bytes.
-  Status TryExchangeCounts(int member, const std::vector<int64_t>& send_counts,
-                           std::vector<int64_t>* all_counts);
+  Status ExchangeCounts(int member, const std::vector<int64_t>& send_counts,
+                        std::vector<int64_t>* all_counts);
 
  private:
   template <typename T>
@@ -364,6 +340,15 @@ class CollectiveGroup {
   Status ExitCollective(int member, std::optional<uint64_t> wire_bytes = std::nullopt);
   // Returns the sticky abort status once no member is in a read phase.
   Status AbortedExit(std::unique_lock<std::mutex>& lock);
+  // The tail of every data-moving collective: accounts `volume` once,
+  // reports it through *wire_out, and exits with the volume on the wire.
+  Status Complete(int member, uint64_t volume, uint64_t* wire_out) {
+    AccountOnce(member, volume);
+    if (wire_out != nullptr) {
+      *wire_out = volume;
+    }
+    return ExitCollective(member, volume);
+  }
 
   // Ring all-gather / reduce-scatter volume per the standard (g-1)/g * total.
   uint64_t RingVolume(int64_t bytes_per_member) const {
@@ -385,6 +370,7 @@ class CollectiveGroup {
   const int size_;
   std::vector<const void*> send_slots_;
   std::vector<int64_t> counts_;
+  std::vector<int64_t> recv_capacity_;  // AllToAllV receive capacity per member
   std::vector<double> scalars_;
   std::atomic<uint64_t> wire_bytes_{0};
 

@@ -1,8 +1,5 @@
 #include "src/comm/communicator.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "src/base/logging.h"
 #include "src/base/math_util.h"
 
@@ -17,19 +14,6 @@ const char* CommBackendName(CommBackend backend) {
   }
   return "unknown";
 }
-
-namespace {
-
-// Analytic total volumes, mirroring CollectiveGroup's accounting (§3).
-uint64_t RingBytes(int n, int64_t bytes_per_member) {
-  return static_cast<uint64_t>(n - 1) * static_cast<uint64_t>(bytes_per_member);
-}
-
-uint64_t A2ABytes(int n, int64_t bytes_per_block) {
-  return static_cast<uint64_t>(n - 1) * static_cast<uint64_t>(bytes_per_block);
-}
-
-}  // namespace
 
 void Communicator::set_fault_plan(FaultPlan* plan) {
   fault_plan_ = plan;
@@ -202,56 +186,44 @@ AsyncOpParams Communicator::AsyncParams(int member, const char* elem_type,
 // ---------------------------------------------------------------------------
 // FlatCommunicator
 
-uint64_t FlatCommunicator::AllGatherBytes(int member, const void* send, void* recv,
-                                          int64_t bytes) {
-  group_.AllGather(member, static_cast<const uint8_t*>(send),
-                   static_cast<uint8_t*>(recv), bytes);
-  return RingBytes(size(), bytes);
+Status FlatCommunicator::AllGatherBytes(int member, const void* send, void* recv,
+                                        int64_t bytes, uint64_t* wire) {
+  return group_.AllGather(member, static_cast<const uint8_t*>(send),
+                          static_cast<uint8_t*>(recv), bytes, wire);
 }
 
-Status FlatCommunicator::TryAllGatherStatus(int member, const void* send, void* recv,
-                                            int64_t bytes, uint64_t* wire) {
-  *wire = RingBytes(size(), bytes);
-  return group_.TryAllGather(member, static_cast<const uint8_t*>(send),
-                             static_cast<uint8_t*>(recv), bytes);
+Status FlatCommunicator::ReduceScatterF32(int member, const float* send, float* recv,
+                                          int64_t count, uint64_t* wire) {
+  return group_.ReduceScatter(member, send, recv, count, wire);
 }
 
-uint64_t FlatCommunicator::ReduceScatterF32(int member, const float* send, float* recv,
-                                            int64_t count) {
-  group_.ReduceScatter(member, send, recv, count);
-  return RingBytes(size(), count * static_cast<int64_t>(sizeof(float)));
+Status FlatCommunicator::AllReduceF32(int member, const float* send, float* recv,
+                                      int64_t count, uint64_t* wire) {
+  return group_.AllReduce(member, send, recv, count, wire);
 }
 
-uint64_t FlatCommunicator::AllReduceF32(int member, const float* send, float* recv,
-                                        int64_t count) {
-  group_.AllReduce(member, send, recv, count);
-  return 2 * RingBytes(size(), count * static_cast<int64_t>(sizeof(float)));
+Status FlatCommunicator::BroadcastBytes(int member, int root, void* data, int64_t bytes,
+                                        uint64_t* wire) {
+  return group_.Broadcast(member, root, static_cast<uint8_t*>(data), bytes, wire);
 }
 
-uint64_t FlatCommunicator::BroadcastBytes(int member, int root, void* data,
-                                          int64_t bytes) {
-  group_.Broadcast(member, root, static_cast<uint8_t*>(data), bytes);
-  return static_cast<uint64_t>(size() - 1) * static_cast<uint64_t>(bytes);
+Status FlatCommunicator::AllToAllBytes(int member, const void* send, void* recv,
+                                       int64_t bytes_per_block, uint64_t* wire) {
+  return group_.AllToAll(member, static_cast<const uint8_t*>(send),
+                         static_cast<uint8_t*>(recv), bytes_per_block, wire);
 }
 
-uint64_t FlatCommunicator::AllToAllBytes(int member, const void* send, void* recv,
-                                         int64_t bytes_per_block) {
-  group_.AllToAll(member, static_cast<const uint8_t*>(send),
-                  static_cast<uint8_t*>(recv), bytes_per_block);
-  return A2ABytes(size(), bytes_per_block);
-}
-
-uint64_t FlatCommunicator::AllToAllVBytes(int member, const void* send,
-                                          const std::vector<int64_t>& send_bytes,
-                                          void* recv, std::vector<int64_t>* recv_bytes) {
+Status FlatCommunicator::AllToAllVBytes(int member, const void* send,
+                                        const std::vector<int64_t>& send_bytes, void* recv,
+                                        int64_t recv_capacity_bytes,
+                                        std::vector<int64_t>* recv_bytes, uint64_t* wire) {
   return group_.AllToAllV(member, static_cast<const uint8_t*>(send), send_bytes,
-                          static_cast<uint8_t*>(recv), recv_bytes);
+                          static_cast<uint8_t*>(recv), recv_capacity_bytes, recv_bytes, wire);
 }
 
-uint64_t FlatCommunicator::ExchangeScalarsImpl(int member, double value,
-                                               std::vector<double>* out) {
-  *out = group_.ExchangeScalars(member, value);
-  return RingBytes(size(), sizeof(double));
+Status FlatCommunicator::ExchangeScalarsImpl(int member, double value,
+                                             std::vector<double>* out, uint64_t* wire) {
+  return group_.ExchangeScalars(member, value, out, wire);
 }
 
 const char* FlatCommunicator::AlgorithmName(CommOp op) const {
@@ -275,38 +247,21 @@ const char* FlatCommunicator::AlgorithmName(CommOp op) const {
 // HierarchicalCommunicator
 
 HierarchicalCommunicator::HierarchicalCommunicator(int nodes, int gpus_per_node)
-    : world_(nodes * gpus_per_node), hier_(nodes, gpus_per_node) {
+    : FlatCommunicator(nodes * gpus_per_node), hier_(nodes, gpus_per_node) {
   MSMOE_CHECK_GT(nodes, 0);
   MSMOE_CHECK_GT(gpus_per_node, 0);
 }
 
-uint64_t HierarchicalCommunicator::AllGatherBytes(int member, const void* send,
-                                                  void* recv, int64_t bytes) {
-  world_.AllGather(member, static_cast<const uint8_t*>(send),
-                   static_cast<uint8_t*>(recv), bytes);
-  return RingBytes(size(), bytes);
-}
-
-Status HierarchicalCommunicator::TryAllGatherStatus(int member, const void* send,
-                                                    void* recv, int64_t bytes,
-                                                    uint64_t* wire) {
-  *wire = RingBytes(size(), bytes);
-  return world_.TryAllGather(member, static_cast<const uint8_t*>(send),
-                             static_cast<uint8_t*>(recv), bytes);
-}
-
-uint64_t HierarchicalCommunicator::ReduceScatterF32(int member, const float* send,
-                                                    float* recv, int64_t count) {
-  world_.ReduceScatter(member, send, recv, count);
-  return RingBytes(size(), count * static_cast<int64_t>(sizeof(float)));
-}
-
-uint64_t HierarchicalCommunicator::AllReduceF32(int member, const float* send,
-                                                float* recv, int64_t count) {
-  std::memcpy(recv, send, static_cast<size_t>(count) * sizeof(float));
-  hier_.AllReduce(member, recv, count);
+Status HierarchicalCommunicator::AllReduceF32(int member, const float* send, float* recv,
+                                              int64_t count, uint64_t* wire) {
+  MSMOE_RETURN_IF_ERROR(hier_.AllReduce(member, send, recv, count));
+  // The sub-steps rendezvous per node and per local index only, so a rank
+  // could finish while a peer's last step is still cancellable. The world
+  // barrier makes the op complete on every rank or on none.
+  MSMOE_RETURN_IF_ERROR(group_.Barrier(member));
   // Four-step analytic volume (Fig 5a): per node an intra RS + AG over
-  // chunk floats, per local index an inter all-reduce of one chunk.
+  // chunk floats, per local index an inter all-reduce of one chunk. It is
+  // the whole hierarchy's total, which no single rank's sub-steps see.
   const int g = hier_.gpus_per_node();
   const int nodes = hier_.nodes();
   const uint64_t chunk_bytes =
@@ -315,52 +270,12 @@ uint64_t HierarchicalCommunicator::AllReduceF32(int member, const float* send,
       static_cast<uint64_t>(nodes) * 2 * static_cast<uint64_t>(g - 1) * chunk_bytes;
   const uint64_t inter =
       static_cast<uint64_t>(g) * 2 * static_cast<uint64_t>(nodes - 1) * chunk_bytes;
-  return intra + inter;
-}
-
-uint64_t HierarchicalCommunicator::BroadcastBytes(int member, int root, void* data,
-                                                  int64_t bytes) {
-  world_.Broadcast(member, root, static_cast<uint8_t*>(data), bytes);
-  return static_cast<uint64_t>(size() - 1) * static_cast<uint64_t>(bytes);
-}
-
-uint64_t HierarchicalCommunicator::AllToAllBytes(int member, const void* send,
-                                                 void* recv, int64_t bytes_per_block) {
-  world_.AllToAll(member, static_cast<const uint8_t*>(send),
-                  static_cast<uint8_t*>(recv), bytes_per_block);
-  return A2ABytes(size(), bytes_per_block);
-}
-
-uint64_t HierarchicalCommunicator::AllToAllVBytes(int member, const void* send,
-                                                  const std::vector<int64_t>& send_bytes,
-                                                  void* recv,
-                                                  std::vector<int64_t>* recv_bytes) {
-  return world_.AllToAllV(member, static_cast<const uint8_t*>(send), send_bytes,
-                          static_cast<uint8_t*>(recv), recv_bytes);
-}
-
-uint64_t HierarchicalCommunicator::ExchangeScalarsImpl(int member, double value,
-                                                       std::vector<double>* out) {
-  *out = world_.ExchangeScalars(member, value);
-  return RingBytes(size(), sizeof(double));
+  *wire = intra + inter;
+  return Status::Ok();
 }
 
 const char* HierarchicalCommunicator::AlgorithmName(CommOp op) const {
-  switch (op) {
-    case CommOp::kAllReduce:
-      return "hierarchical";
-    case CommOp::kAllGather:
-    case CommOp::kReduceScatter:
-      return "ring";
-    case CommOp::kAllToAll:
-    case CommOp::kAllToAllV:
-      return "pairwise";
-    case CommOp::kBroadcast:
-    case CommOp::kExchangeScalars:
-    case CommOp::kBarrier:
-      return "direct";
-  }
-  return "unknown";
+  return op == CommOp::kAllReduce ? "hierarchical" : FlatCommunicator::AlgorithmName(op);
 }
 
 std::unique_ptr<Communicator> MakeCommunicator(CommBackend backend, int world_size,

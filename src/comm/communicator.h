@@ -112,8 +112,8 @@ class Communicator {
   void Abort(Status status) { Abort(std::move(status), -1); }
   void Abort(Status status, int culprit_rank);
   // First error raised on any channel (abort, timeout, injected crash), or
-  // OK. After a failed collective the output buffers are unspecified;
-  // fault-aware callers check this per step and run recovery.
+  // OK. Each collective returns its own status; this sticky one is for the
+  // caller's per-step check before running recovery.
   Status GroupStatus() const;
   // Best-guess member responsible for the current failure: an explicit
   // attribution passed to Abort (injected crashes name the crashing rank),
@@ -152,194 +152,110 @@ class Communicator {
   void set_epoch(int epoch) { epoch_ = epoch; }
 
   // All members must call every collective, with their own member index.
-  // Semantics match CollectiveGroup (see collective_group.h). On an aborted
-  // group each collective returns promptly without touching the output
-  // buffers and without recording telemetry; GroupStatus() carries the
-  // error.
+  // Semantics match CollectiveGroup (see collective_group.h). Each returns
+  // the op's own Status, serialized with concurrent Aborts under the group
+  // mutex: a collective that completed returns Ok on EVERY member — even
+  // when a fault lands right after it closes — and a cancelled one returns
+  // the sticky error on every member, without recording telemetry. An op
+  // started on an already-aborted group returns promptly without touching
+  // its output buffers. Collective commit decisions (e.g. the trainer's
+  // barrier-gated snapshot) must branch on this value; re-reading
+  // GroupStatus() after the call races with faults raised between one
+  // member's exit and another member's read, splitting the commit across
+  // the group.
 
-  void Barrier(int member) {
-    const FaultAction action = BeginOp(member);
-    if (action.crash) {
-      return;
-    }
-    const double start = telemetry_.NowUs();
-    BarrierImpl(member);
-    if (!GroupStatus().ok()) {
-      return;
-    }
-    Finish(CommOp::kBarrier, member, "bytes", 0, 0, 0, start);
-  }
-
-  // Like Barrier, but returns THIS barrier's own completion status. The
-  // return value is serialized with concurrent Aborts under the group
-  // mutex: a barrier that closed returns Ok on EVERY member — even when a
-  // fault lands immediately after it closes — and a cancelled one returns
-  // the same sticky error on every member. Collective commit decisions
-  // (e.g. the trainer's barrier-gated snapshot) must branch on this value;
-  // re-reading GroupStatus() after the call races with faults raised
-  // between one member's barrier exit and another member's read, splitting
-  // the commit across the group.
-  Status TryBarrier(int member) {
-    const FaultAction action = BeginOp(member);
-    if (action.crash) {
-      return GroupStatus();
-    }
-    const double start = telemetry_.NowUs();
-    const Status status = TryBarrierStatus(member);
-    if (!status.ok()) {
-      return status;
-    }
-    Finish(CommOp::kBarrier, member, "bytes", 0, 0, 0, start);
-    return status;
-  }
-
-  // AllGather whose return value is this op's own serialized status (same
-  // commit-token contract as TryBarrier): Ok means the gather completed
-  // group-wide and the receive buffer is fully populated on every member.
-  template <typename T>
-  Status TryAllGather(int member, const T* send, T* recv, int64_t count) {
-    const FaultAction action = BeginOp(member);
-    if (action.crash) {
-      return GroupStatus();
-    }
-    const double start = telemetry_.NowUs();
-    const int64_t bytes = count * static_cast<int64_t>(sizeof(T));
-    uint64_t wire = 0;
-    const Status status = TryAllGatherStatus(member, send, recv, bytes, &wire);
-    if (!status.ok()) {
-      return status;
-    }
-    EndOp(action, recv, size() * bytes);
-    Finish(CommOp::kAllGather, member, CommElemTypeName<T>(), sizeof(T), count, wire,
-           start);
-    return status;
+  Status Barrier(int member) {
+    return RunOp(member, CommOp::kBarrier, "bytes", 0, [&](OpResult*) {
+      return BarrierImpl(member);
+    });
   }
 
   template <typename T>
-  void AllGather(int member, const T* send, T* recv, int64_t count) {
-    const FaultAction action = BeginOp(member);
-    if (action.crash) {
-      return;
-    }
-    const double start = telemetry_.NowUs();
-    const int64_t bytes = count * static_cast<int64_t>(sizeof(T));
-    const uint64_t wire = AllGatherBytes(member, send, recv, bytes);
-    if (!GroupStatus().ok()) {
-      return;
-    }
-    EndOp(action, recv, size() * bytes);
-    Finish(CommOp::kAllGather, member, CommElemTypeName<T>(), sizeof(T), count, wire,
-           start);
+  Status AllGather(int member, const T* send, T* recv, int64_t count) {
+    return RunOp(member, CommOp::kAllGather, CommElemTypeName<T>(), sizeof(T),
+                 [&](OpResult* op) {
+                   const int64_t bytes = count * static_cast<int64_t>(sizeof(T));
+                   *op = {recv, size() * bytes, count, 0};
+                   return AllGatherBytes(member, send, recv, bytes, &op->wire);
+                 });
   }
 
-  void ReduceScatter(int member, const float* send, float* recv, int64_t count) {
-    const FaultAction action = BeginOp(member);
-    if (action.crash) {
-      return;
-    }
-    const double start = telemetry_.NowUs();
-    const uint64_t wire = ReduceScatterF32(member, send, recv, count);
-    if (!GroupStatus().ok()) {
-      return;
-    }
-    EndOp(action, recv, count * static_cast<int64_t>(sizeof(float)));
-    Finish(CommOp::kReduceScatter, member, "f32", sizeof(float), count, wire, start);
+  Status ReduceScatter(int member, const float* send, float* recv, int64_t count) {
+    return RunOp(member, CommOp::kReduceScatter, "f32", sizeof(float), [&](OpResult* op) {
+      *op = {recv, count * static_cast<int64_t>(sizeof(float)), count, 0};
+      return ReduceScatterF32(member, send, recv, count, &op->wire);
+    });
   }
 
-  void AllReduce(int member, const float* send, float* recv, int64_t count) {
-    const FaultAction action = BeginOp(member);
-    if (action.crash) {
-      return;
-    }
-    const double start = telemetry_.NowUs();
-    const uint64_t wire = AllReduceF32(member, send, recv, count);
-    if (!GroupStatus().ok()) {
-      return;
-    }
-    EndOp(action, recv, count * static_cast<int64_t>(sizeof(float)));
-    Finish(CommOp::kAllReduce, member, "f32", sizeof(float), count, wire, start);
+  Status AllReduce(int member, const float* send, float* recv, int64_t count) {
+    return RunOp(member, CommOp::kAllReduce, "f32", sizeof(float), [&](OpResult* op) {
+      *op = {recv, count * static_cast<int64_t>(sizeof(float)), count, 0};
+      return AllReduceF32(member, send, recv, count, &op->wire);
+    });
   }
 
   template <typename T>
-  void Broadcast(int member, int root, T* data, int64_t count) {
-    const FaultAction action = BeginOp(member);
-    if (action.crash) {
-      return;
-    }
-    const double start = telemetry_.NowUs();
-    const int64_t bytes = count * static_cast<int64_t>(sizeof(T));
-    const uint64_t wire = BroadcastBytes(member, root, data, bytes);
-    if (!GroupStatus().ok()) {
-      return;
-    }
-    EndOp(action, data, bytes);
-    Finish(CommOp::kBroadcast, member, CommElemTypeName<T>(), sizeof(T), count, wire,
-           start);
+  Status Broadcast(int member, int root, T* data, int64_t count) {
+    return RunOp(member, CommOp::kBroadcast, CommElemTypeName<T>(), sizeof(T),
+                 [&](OpResult* op) {
+                   const int64_t bytes = count * static_cast<int64_t>(sizeof(T));
+                   *op = {data, bytes, count, 0};
+                   return BroadcastBytes(member, root, data, bytes, &op->wire);
+                 });
   }
 
   // `count` is the per-destination block size in elements (the recorded
   // elem_count), exactly as in CollectiveGroup::AllToAll.
   template <typename T>
-  void AllToAll(int member, const T* send, T* recv, int64_t count) {
-    const FaultAction action = BeginOp(member);
-    if (action.crash) {
-      return;
-    }
-    const double start = telemetry_.NowUs();
-    const int64_t bytes = count * static_cast<int64_t>(sizeof(T));
-    const uint64_t wire = AllToAllBytes(member, send, recv, bytes);
-    if (!GroupStatus().ok()) {
-      return;
-    }
-    EndOp(action, recv, size() * bytes);
-    Finish(CommOp::kAllToAll, member, CommElemTypeName<T>(), sizeof(T), count, wire,
-           start);
+  Status AllToAll(int member, const T* send, T* recv, int64_t count) {
+    return RunOp(member, CommOp::kAllToAll, CommElemTypeName<T>(), sizeof(T),
+                 [&](OpResult* op) {
+                   const int64_t bytes = count * static_cast<int64_t>(sizeof(T));
+                   *op = {recv, size() * bytes, count, 0};
+                   return AllToAllBytes(member, send, recv, bytes, &op->wire);
+                 });
   }
 
+  // recv holds recv_capacity elements; a member that would receive more
+  // fails the op on every member with kInvalidArgument (nothing is copied).
   // Recorded elem_count is the total element count this member received.
   template <typename T>
-  void AllToAllV(int member, const T* send, const std::vector<int64_t>& send_counts,
-                 T* recv, std::vector<int64_t>* recv_counts) {
-    const FaultAction action = BeginOp(member);
-    if (action.crash) {
-      return;
-    }
-    const double start = telemetry_.NowUs();
-    std::vector<int64_t> send_bytes(send_counts.size());
-    for (size_t i = 0; i < send_counts.size(); ++i) {
-      send_bytes[i] = send_counts[i] * static_cast<int64_t>(sizeof(T));
-    }
-    std::vector<int64_t> recv_bytes;
-    const uint64_t wire = AllToAllVBytes(member, send, send_bytes, recv, &recv_bytes);
-    if (!GroupStatus().ok()) {
-      return;
-    }
-    recv_counts->resize(recv_bytes.size());
-    int64_t received = 0;
-    for (size_t i = 0; i < recv_bytes.size(); ++i) {
-      (*recv_counts)[i] = recv_bytes[i] / static_cast<int64_t>(sizeof(T));
-      received += (*recv_counts)[i];
-    }
-    EndOp(action, recv, received * static_cast<int64_t>(sizeof(T)));
-    Finish(CommOp::kAllToAllV, member, CommElemTypeName<T>(), sizeof(T), received, wire,
-           start);
+  Status AllToAllV(int member, const T* send, const std::vector<int64_t>& send_counts,
+                   T* recv, int64_t recv_capacity, std::vector<int64_t>* recv_counts) {
+    return RunOp(member, CommOp::kAllToAllV, CommElemTypeName<T>(), sizeof(T),
+                 [&](OpResult* op) {
+                   const auto elem = static_cast<int64_t>(sizeof(T));
+                   std::vector<int64_t> send_bytes(send_counts.size());
+                   for (size_t i = 0; i < send_counts.size(); ++i) {
+                     send_bytes[i] = send_counts[i] * elem;
+                   }
+                   std::vector<int64_t> recv_bytes;
+                   MSMOE_RETURN_IF_ERROR(AllToAllVBytes(member, send, send_bytes, recv,
+                                                        recv_capacity * elem, &recv_bytes,
+                                                        &op->wire));
+                   recv_counts->resize(recv_bytes.size());
+                   int64_t received = 0;
+                   for (size_t i = 0; i < recv_bytes.size(); ++i) {
+                     (*recv_counts)[i] = recv_bytes[i] / elem;
+                     received += (*recv_counts)[i];
+                   }
+                   op->recv = recv;
+                   op->recv_bytes = received * elem;
+                   op->elem_count = received;
+                   return Status::Ok();
+                 });
   }
 
-  std::vector<double> ExchangeScalars(int member, double value) {
-    const FaultAction action = BeginOp(member);
-    std::vector<double> out;
-    if (action.crash) {
-      return out;
-    }
-    const double start = telemetry_.NowUs();
-    const uint64_t wire = ExchangeScalarsImpl(member, value, &out);
-    if (!GroupStatus().ok()) {
-      out.clear();
-      return out;
-    }
-    EndOp(action, out.data(), static_cast<int64_t>(out.size() * sizeof(double)));
-    Finish(CommOp::kExchangeScalars, member, "f64", sizeof(double), 1, wire, start);
-    return out;
+  // *out receives every member's value (size() entries).
+  Status ExchangeScalars(int member, double value, std::vector<double>* out) {
+    return RunOp(member, CommOp::kExchangeScalars, "f64", sizeof(double),
+                 [&](OpResult* op) {
+                   MSMOE_RETURN_IF_ERROR(ExchangeScalarsImpl(member, value, out, &op->wire));
+                   op->recv = out->data();
+                   op->recv_bytes = static_cast<int64_t>(out->size() * sizeof(double));
+                   op->elem_count = 1;
+                   return Status::Ok();
+                 });
   }
 
   // --- Nonblocking chunked collectives (§4.2) ------------------------------
@@ -352,7 +268,7 @@ class Communicator {
   // the same Start* sequence; handles must not outlive this Communicator.
   // Chunk boundaries fall on multiples of `quantum` elements (a row).
   // Injected faults surface through WaitChunk/WaitAll as the same sticky
-  // Status the synchronous ops report via GroupStatus().
+  // Status the blocking ops return.
 
   template <typename T>
   std::unique_ptr<CommHandle> StartAllGather(int member, const T* send, T* recv,
@@ -395,29 +311,27 @@ class Communicator {
   }
 
  protected:
-  // Backends implement byte-level data movement plus float reductions and
-  // return the TOTAL analytic wire volume of the collective (the value the
-  // event records; must equal the delta the backend adds to wire_bytes()).
-  virtual void BarrierImpl(int member) = 0;
-  // Status-returning variants backing TryBarrier/TryAllGather: the status
-  // is the op's own serialized verdict (see TryBarrier above).
-  virtual Status TryBarrierStatus(int member) = 0;
-  virtual Status TryAllGatherStatus(int member, const void* send, void* recv,
-                                    int64_t bytes, uint64_t* wire) = 0;
-  virtual uint64_t AllGatherBytes(int member, const void* send, void* recv,
-                                  int64_t bytes) = 0;
-  virtual uint64_t ReduceScatterF32(int member, const float* send, float* recv,
-                                    int64_t count) = 0;
-  virtual uint64_t AllReduceF32(int member, const float* send, float* recv,
-                                int64_t count) = 0;
-  virtual uint64_t BroadcastBytes(int member, int root, void* data, int64_t bytes) = 0;
-  virtual uint64_t AllToAllBytes(int member, const void* send, void* recv,
-                                 int64_t bytes_per_block) = 0;
-  virtual uint64_t AllToAllVBytes(int member, const void* send,
-                                  const std::vector<int64_t>& send_bytes, void* recv,
-                                  std::vector<int64_t>* recv_bytes) = 0;
-  virtual uint64_t ExchangeScalarsImpl(int member, double value,
-                                       std::vector<double>* out) = 0;
+  // Backends implement byte-level data movement plus float reductions. Each
+  // returns the op's own status and stores in *wire the TOTAL analytic wire
+  // volume the moving group op reported (the value the event records; it
+  // equals the delta the backend adds to wire_bytes()).
+  virtual Status BarrierImpl(int member) = 0;
+  virtual Status AllGatherBytes(int member, const void* send, void* recv, int64_t bytes,
+                                uint64_t* wire) = 0;
+  virtual Status ReduceScatterF32(int member, const float* send, float* recv,
+                                  int64_t count, uint64_t* wire) = 0;
+  virtual Status AllReduceF32(int member, const float* send, float* recv, int64_t count,
+                              uint64_t* wire) = 0;
+  virtual Status BroadcastBytes(int member, int root, void* data, int64_t bytes,
+                                uint64_t* wire) = 0;
+  virtual Status AllToAllBytes(int member, const void* send, void* recv,
+                               int64_t bytes_per_block, uint64_t* wire) = 0;
+  virtual Status AllToAllVBytes(int member, const void* send,
+                                const std::vector<int64_t>& send_bytes, void* recv,
+                                int64_t recv_capacity_bytes,
+                                std::vector<int64_t>* recv_bytes, uint64_t* wire) = 0;
+  virtual Status ExchangeScalarsImpl(int member, double value, std::vector<double>* out,
+                                     uint64_t* wire) = 0;
   // Algorithm label recorded in events ("ring", "pairwise", "direct",
   // "hierarchical").
   virtual const char* AlgorithmName(CommOp op) const = 0;
@@ -438,6 +352,33 @@ class Communicator {
   virtual int BackendCulpritRank() const = 0;
 
  private:
+  // What a completed blocking op reports for its event: the receive buffer
+  // a payload fault may corrupt, the recorded element count, and the wire.
+  struct OpResult {
+    void* recv = nullptr;
+    int64_t recv_bytes = 0;
+    int64_t elem_count = 0;
+    uint64_t wire = 0;
+  };
+
+  // Every blocking collective: the fault hook, the timestamp, the backend
+  // op (which fills *OpResult), and — only when the op returned Ok — the
+  // payload fault and the event. An injected crash returns the abort it
+  // raised without entering the backend.
+  template <typename Op>
+  Status RunOp(int member, CommOp kind, const char* elem_type, int elem_bytes, Op&& op) {
+    const FaultAction action = BeginOp(member);
+    if (action.crash) {
+      return GroupStatus();
+    }
+    const double start = telemetry_.NowUs();
+    OpResult result;
+    MSMOE_RETURN_IF_ERROR(op(&result));
+    EndOp(action, result.recv, result.recv_bytes);
+    Finish(kind, member, elem_type, elem_bytes, result.elem_count, result.wire, start);
+    return Status::Ok();
+  }
+
   // Consults the fault plan with this rank's op index: sleeps out injected
   // straggler delays (BEFORE the start timestamp, so the late collective
   // entry is visible to the health detector), and on an injected crash
@@ -529,7 +470,7 @@ class Communicator {
 
 // Single-level backend: one CollectiveGroup spanning all ranks (ring
 // AG/RS/AR, pairwise A2A — the flat NCCL-communicator equivalent).
-class FlatCommunicator final : public Communicator {
+class FlatCommunicator : public Communicator {
  public:
   explicit FlatCommunicator(int size) : group_(size) {}
 
@@ -553,109 +494,83 @@ class FlatCommunicator final : public Communicator {
   void RetireBackend(Status stale) override { group_.Retire(std::move(stale)); }
   int BackendCulpritRank() const override { return group_.culprit_rank(); }
 
-  void BarrierImpl(int member) override { group_.Barrier(member); }
-  Status TryBarrierStatus(int member) override { return group_.TryBarrier(member); }
-  Status TryAllGatherStatus(int member, const void* send, void* recv, int64_t bytes,
-                            uint64_t* wire) override;
-  uint64_t AllGatherBytes(int member, const void* send, void* recv,
-                          int64_t bytes) override;
-  uint64_t ReduceScatterF32(int member, const float* send, float* recv,
-                            int64_t count) override;
-  uint64_t AllReduceF32(int member, const float* send, float* recv,
-                        int64_t count) override;
-  uint64_t BroadcastBytes(int member, int root, void* data, int64_t bytes) override;
-  uint64_t AllToAllBytes(int member, const void* send, void* recv,
-                         int64_t bytes_per_block) override;
-  uint64_t AllToAllVBytes(int member, const void* send,
-                          const std::vector<int64_t>& send_bytes, void* recv,
-                          std::vector<int64_t>* recv_bytes) override;
-  uint64_t ExchangeScalarsImpl(int member, double value,
-                               std::vector<double>* out) override;
+  Status BarrierImpl(int member) override { return group_.Barrier(member); }
+  Status AllGatherBytes(int member, const void* send, void* recv, int64_t bytes,
+                        uint64_t* wire) override;
+  Status ReduceScatterF32(int member, const float* send, float* recv, int64_t count,
+                          uint64_t* wire) override;
+  Status AllReduceF32(int member, const float* send, float* recv, int64_t count,
+                      uint64_t* wire) override;
+  Status BroadcastBytes(int member, int root, void* data, int64_t bytes,
+                        uint64_t* wire) override;
+  Status AllToAllBytes(int member, const void* send, void* recv, int64_t bytes_per_block,
+                       uint64_t* wire) override;
+  Status AllToAllVBytes(int member, const void* send, const std::vector<int64_t>& send_bytes,
+                        void* recv, int64_t recv_capacity_bytes,
+                        std::vector<int64_t>* recv_bytes, uint64_t* wire) override;
+  Status ExchangeScalarsImpl(int member, double value, std::vector<double>* out,
+                             uint64_t* wire) override;
   const char* AlgorithmName(CommOp op) const override;
 
- private:
   CollectiveGroup group_;
 };
 
 // Two-level backend (Appendix A.1): all-reduce runs as intra-node
 // reduce-scatter -> inter-node all-reduce -> intra-node all-gather over a
-// HierarchicalComm; every other op spans the flat world group. Ranks are
-// node-major: rank = node * gpus_per_node + local.
-class HierarchicalCommunicator final : public Communicator {
+// HierarchicalComm; every other op spans the flat world group, exactly as
+// in FlatCommunicator. Ranks are node-major: rank = node * gpus_per_node +
+// local.
+class HierarchicalCommunicator final : public FlatCommunicator {
  public:
   HierarchicalCommunicator(int nodes, int gpus_per_node);
-
-  int size() const override { return hier_.world_size(); }
 
   uint64_t IntraWireBytes() const { return hier_.IntraWireBytes(); }
   uint64_t InterWireBytes() const { return hier_.InterWireBytes(); }
 
  protected:
   uint64_t BackendWireBytes() const override {
-    return world_.wire_bytes() + hier_.IntraWireBytes() + hier_.InterWireBytes();
+    return group_.wire_bytes() + hier_.IntraWireBytes() + hier_.InterWireBytes();
   }
   void ResetBackendWireBytes() override {
-    world_.ResetWireBytes();
+    group_.ResetWireBytes();
     hier_.ResetWireBytes();
   }
+  // The wire model (inherited) covers the world-level group only; the
+  // hierarchical all-reduce's intra/inter sub-groups stay unmodeled (their
+  // cost is studied analytically in src/sim, not measured).
   void SetTimeoutImpl(double timeout_ms) override {
-    world_.set_timeout_ms(timeout_ms);
+    group_.set_timeout_ms(timeout_ms);
     hier_.SetTimeoutMs(timeout_ms);
-  }
-  // The wire model covers the world-level channel; the hierarchical
-  // all-reduce's intra/inter sub-groups stay unmodeled (their cost is
-  // studied analytically in src/sim, not measured).
-  void SetWireModelImpl(double bytes_per_us, double latency_us) override {
-    world_.set_wire_model(bytes_per_us, latency_us);
   }
   // An abort must cancel every constituent group: a rank may be blocked in
   // the world barrier, its intra-node group, or its inter-node group.
   void AbortImpl(Status status) override {
     hier_.AbortAll(status);
-    world_.Abort(std::move(status));
+    group_.Abort(std::move(status));
   }
   Status BackendStatus() const override {
-    Status status = world_.status();
+    Status status = group_.status();
     if (!status.ok()) {
       return status;
     }
     return hier_.FirstError();
   }
-  void RecoveryArriveImpl() override { world_.RecoveryArrive(); }
   void ResetBackendAbort() override {
-    world_.ResetAbort();
+    group_.ResetAbort();
     hier_.ResetAbortAll();
   }
   // The sub-groups have no Retire; a sticky abort is enough because a
   // retired communicator never runs ResetBackendAbort again.
   void RetireBackend(Status stale) override {
     hier_.AbortAll(stale);
-    world_.Retire(std::move(stale));
+    group_.Retire(std::move(stale));
   }
-  int BackendCulpritRank() const override { return world_.culprit_rank(); }
 
-  void BarrierImpl(int member) override { world_.Barrier(member); }
-  Status TryBarrierStatus(int member) override { return world_.TryBarrier(member); }
-  Status TryAllGatherStatus(int member, const void* send, void* recv, int64_t bytes,
-                            uint64_t* wire) override;
-  uint64_t AllGatherBytes(int member, const void* send, void* recv,
-                          int64_t bytes) override;
-  uint64_t ReduceScatterF32(int member, const float* send, float* recv,
-                            int64_t count) override;
-  uint64_t AllReduceF32(int member, const float* send, float* recv,
-                        int64_t count) override;
-  uint64_t BroadcastBytes(int member, int root, void* data, int64_t bytes) override;
-  uint64_t AllToAllBytes(int member, const void* send, void* recv,
-                         int64_t bytes_per_block) override;
-  uint64_t AllToAllVBytes(int member, const void* send,
-                          const std::vector<int64_t>& send_bytes, void* recv,
-                          std::vector<int64_t>* recv_bytes) override;
-  uint64_t ExchangeScalarsImpl(int member, double value,
-                               std::vector<double>* out) override;
+  Status AllReduceF32(int member, const float* send, float* recv, int64_t count,
+                      uint64_t* wire) override;
   const char* AlgorithmName(CommOp op) const override;
 
  private:
-  CollectiveGroup world_;
   HierarchicalComm hier_;
 };
 

@@ -28,7 +28,8 @@ CollectiveGroup& HierarchicalComm::InterGroup(int rank) {
   return *inter_groups_[static_cast<size_t>(LocalOf(rank))];
 }
 
-void HierarchicalComm::AllReduce(int rank, float* data, int64_t count) {
+Status HierarchicalComm::AllReduce(int rank, const float* send, float* recv,
+                                   int64_t count) {
   const int local = LocalOf(rank);
   const int node = NodeOf(rank);
   CollectiveGroup& intra = IntraGroup(rank);
@@ -38,21 +39,22 @@ void HierarchicalComm::AllReduce(int rank, float* data, int64_t count) {
   const int64_t chunk = CeilDiv(count, gpus_per_node_);
   std::vector<float> padded(static_cast<size_t>(chunk) * static_cast<size_t>(gpus_per_node_),
                             0.0f);
-  std::copy(data, data + count, padded.begin());
+  std::copy(send, send + count, padded.begin());
 
   // Step 1: intra-node reduce-scatter; this rank owns chunk `local`.
   std::vector<float> owned(static_cast<size_t>(chunk));
-  intra.ReduceScatter(local, padded.data(), owned.data(), chunk);
+  MSMOE_RETURN_IF_ERROR(intra.ReduceScatter(local, padded.data(), owned.data(), chunk));
 
   // Steps 2+3: inter-node reduce-scatter + all-gather over the owned chunk
   // (an all-reduce across nodes of the node-partial sums).
   std::vector<float> reduced(static_cast<size_t>(chunk));
-  inter.AllReduce(node, owned.data(), reduced.data(), chunk);
+  MSMOE_RETURN_IF_ERROR(inter.AllReduce(node, owned.data(), reduced.data(), chunk));
 
   // Step 4: intra-node all-gather rebuilds the full tensor on every rank.
-  intra.AllGather(local, reduced.data(), padded.data(), chunk);
+  MSMOE_RETURN_IF_ERROR(intra.AllGather(local, reduced.data(), padded.data(), chunk));
 
-  std::copy(padded.begin(), padded.begin() + count, data);
+  std::copy(padded.begin(), padded.begin() + count, recv);
+  return Status::Ok();
 }
 
 uint64_t HierarchicalComm::IntraWireBytes() const {

@@ -38,9 +38,11 @@ class HierarchicalComm {
   // across nodes; member index = node index).
   CollectiveGroup& InterGroup(int rank);
 
-  // Four-step hierarchical all-reduce of `count` floats replicated on every
-  // rank. Every rank ends with the global sum. All ranks must call.
-  void AllReduce(int rank, float* data, int64_t count);
+  // Four-step hierarchical all-reduce of `count` floats: every rank's recv
+  // receives the global sum of the ranks' send buffers (send may equal
+  // recv). All ranks must call. Stops at the first failed sub-step and
+  // returns its status; recv is written only once every step succeeded.
+  Status AllReduce(int rank, const float* send, float* recv, int64_t count);
 
   // Total analytic wire bytes by fabric.
   uint64_t IntraWireBytes() const;

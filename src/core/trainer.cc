@@ -412,9 +412,8 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
           gathers.push_back(graph.AddComm(
               "param_ag[" + std::to_string(s) + "]", /*stream=*/0,
               [&, seg] {
-                comm_now->AllGather(my, seg->shard.data(), seg->full.data(),
-                                    seg->padded / dp);
-                return comm_now->GroupStatus();
+                return comm_now->AllGather(my, seg->shard.data(), seg->full.data(),
+                                           seg->padded / dp);
               },
               {wait}));
         }
@@ -495,13 +494,16 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
         float* wire = ws.Floats("trainer.wire", shard);
         std::memcpy(wire, master_shard.data(), static_cast<size_t>(shard) * sizeof(float));
         RoundFlatForWire(wire, shard, config.param_gather_precision);
-        comm_now->AllGather(my, wire, flat.data(), shard);
-        cursor = 0;
-        params.ForEach([&](const std::string&, Tensor& tensor) {
-          std::memcpy(tensor.data(), flat.data() + cursor,
-                      static_cast<size_t>(tensor.numel()) * sizeof(float));
-          cursor += static_cast<size_t>(tensor.numel());
-        });
+        // A failed gather leaves params as they were; the step loop restores
+        // the snapshot on the sticky group status.
+        if (comm_now->AllGather(my, wire, flat.data(), shard).ok()) {
+          cursor = 0;
+          params.ForEach([&](const std::string&, Tensor& tensor) {
+            std::memcpy(tensor.data(), flat.data() + cursor,
+                        static_cast<size_t>(tensor.numel()) * sizeof(float));
+            cursor += static_cast<size_t>(tensor.numel());
+          });
+        }
       } else {
         {
           MemoryScope scope("grad_sync");
@@ -562,17 +564,17 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       std::vector<float> master_full(static_cast<size_t>(padded), 0.0f);
       std::vector<float> m_full(static_cast<size_t>(padded), 0.0f);
       std::vector<float> v_full(static_cast<size_t>(padded), 0.0f);
-      // Commit on each gather's own status (the TryBarrier commit-token
+      // Commit on each gather's own status (the collectives' commit-token
       // contract): every rank reaches the same verdict even when a fault
       // lands right after the last gather closes.
       Status gathered =
-          comm_now->TryAllGather(my, master_shard.data(), master_full.data(), shard);
+          comm_now->AllGather(my, master_shard.data(), master_full.data(), shard);
       if (gathered.ok()) {
-        gathered = comm_now->TryAllGather(my, opt_blob.data() + 1, m_full.data(), shard);
+        gathered = comm_now->AllGather(my, opt_blob.data() + 1, m_full.data(), shard);
       }
       if (gathered.ok()) {
-        gathered = comm_now->TryAllGather(my, opt_blob.data() + 1 + shard,
-                                          v_full.data(), shard);
+        gathered =
+            comm_now->AllGather(my, opt_blob.data() + 1 + shard, v_full.data(), shard);
       }
       if (!gathered.ok()) {
         return false;
@@ -612,7 +614,7 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       // exit and another's status read would otherwise commit the snapshot
       // on some ranks only, diverging checkpoint_step — and with it the
       // resume step — across the group.
-      if (!comm_now->TryBarrier(my).ok()) {
+      if (!comm_now->Barrier(my).ok()) {
         return false;
       }
       if (elastic_zero && !gather_zero_snapshot()) {
@@ -671,8 +673,8 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       for (float value : flat) {
         sum += static_cast<double>(value);
       }
-      const std::vector<double> sums = comm_now->ExchangeScalars(my, sum);
-      if (!comm_now->GroupStatus().ok()) {
+      std::vector<double> sums;
+      if (!comm_now->ExchangeScalars(my, sum, &sums).ok()) {
         return;
       }
       for (int peer = 0; peer < dp_now; ++peer) {
@@ -879,8 +881,8 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
             state_sum += static_cast<double>(value);
           }
         }
-        const std::vector<double> sums = comm_now->ExchangeScalars(my, state_sum);
-        const Status guard = comm_now->GroupStatus();
+        std::vector<double> sums;
+        const Status guard = comm_now->ExchangeScalars(my, state_sum, &sums);
         MSMOE_CHECK(guard.ok())
             << "post-shrink validation collective failed: " << guard.ToString();
         for (int peer = 0; peer < dp_now; ++peer) {

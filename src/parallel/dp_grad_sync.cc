@@ -29,18 +29,21 @@ std::vector<float> SyncGradShard(Communicator& comm, int rank, const float* grad
   return out;
 }
 
-void SyncGradShardInto(Communicator& comm, int rank, const float* grads, int64_t count,
-                       GradSyncMode mode, float* shard_out) {
+namespace {
+
+// SyncGradShardInto's body, returning the status of its collective so
+// AllReduceGrads can stop before gathering a shard that was never reduced.
+// A failed exchange leaves *shard_out unreduced.
+Status SyncShard(Communicator& comm, int rank, const float* grads, int64_t count,
+                 GradSyncMode mode, float* shard_out) {
   const int n = comm.size();
   MSMOE_CHECK_EQ(count % n, 0);
   const int64_t shard = count / n;
   float* out = shard_out;
 
   switch (mode) {
-    case GradSyncMode::kFp32ReduceScatter: {
-      comm.ReduceScatter(rank, grads, out, shard);
-      break;
-    }
+    case GradSyncMode::kFp32ReduceScatter:
+      return comm.ReduceScatter(rank, grads, out, shard);
     case GradSyncMode::kBf16AllToAll: {
       // One-time cast to BF16, then each rank collects its shard from every
       // peer and reduces LOCALLY in FP32 (Fig 10's design). The wire/recv
@@ -51,7 +54,7 @@ void SyncGradShardInto(Communicator& comm, int rank, const float* grads, int64_t
         wire[i] = Bf16Round(grads[i]);
       }
       float* recv = ws.Floats("gradsync.recv", count);
-      comm.AllToAll(rank, wire, recv, shard);
+      MSMOE_RETURN_IF_ERROR(comm.AllToAll(rank, wire, recv, shard));
       for (int64_t i = 0; i < shard; ++i) {
         double sum = 0.0;  // FP32/FP64 accumulation of BF16 values
         for (int src = 0; src < n; ++src) {
@@ -59,7 +62,7 @@ void SyncGradShardInto(Communicator& comm, int rank, const float* grads, int64_t
         }
         out[i] = static_cast<float>(sum);
       }
-      break;
+      return Status::Ok();
     }
     case GradSyncMode::kBf16RingReduce: {
       // Ring reduce-scatter with BF16 partial sums: in a real ring, the
@@ -74,7 +77,7 @@ void SyncGradShardInto(Communicator& comm, int rank, const float* grads, int64_t
         wire[i] = Bf16Round(grads[i]);
       }
       float* recv = ws.Floats("gradsync.recv", count);
-      comm.AllToAll(rank, wire, recv, shard);
+      MSMOE_RETURN_IF_ERROR(comm.AllToAll(rank, wire, recv, shard));
       for (int64_t i = 0; i < shard; ++i) {
         float partial = recv[((rank + 1) % n) * shard + i];
         for (int step = 2; step <= n; ++step) {
@@ -83,9 +86,19 @@ void SyncGradShardInto(Communicator& comm, int rank, const float* grads, int64_t
         }
         out[i] = partial;
       }
-      break;
+      return Status::Ok();
     }
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+void SyncGradShardInto(Communicator& comm, int rank, const float* grads, int64_t count,
+                       GradSyncMode mode, float* shard_out) {
+  // A failure stays visible as the communicator's sticky GroupStatus(),
+  // which callers check per step.
+  (void)SyncShard(comm, rank, grads, count, mode, shard_out);
 }
 
 std::unique_ptr<CommHandle> StartGradShardSync(Communicator& comm, int rank,
@@ -116,8 +129,11 @@ void AllReduceGrads(Communicator& comm, int rank, float* grads, int64_t count,
   const int n = comm.size();
   MSMOE_CHECK_EQ(count % n, 0);
   float* shard = ThreadWorkspace().Floats("gradsync.shard", count / n);
-  SyncGradShardInto(comm, rank, grads, count, mode, shard);
-  comm.AllGather(rank, shard, grads, count / n);
+  // A failure stays visible as the communicator's sticky GroupStatus(),
+  // which callers check per step; a failed shard sync skips the gather.
+  if (SyncShard(comm, rank, grads, count, mode, shard).ok()) {
+    (void)comm.AllGather(rank, shard, grads, count / n);
+  }
 }
 
 int64_t GradSyncWireBytes(GradSyncMode mode, int64_t count, int n) {

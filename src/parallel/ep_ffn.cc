@@ -613,14 +613,18 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
       meta_counts[static_cast<size_t>(d)] = at - mark;
     }
   }
-  // Capacity assumes every rank holds t_local tokens (uniform shards).
-  int64_t* meta_recv = WsInts("ep.meta_recv", static_cast<int64_t>(n) * (C + t_local * k));
+  // Sized for every rank holding t_local tokens (uniform shards). The
+  // all-to-all checks the capacity: a peer holding more tokens fails the op
+  // on every rank with kInvalidArgument instead of overrunning the buffer.
+  const int64_t meta_capacity = static_cast<int64_t>(n) * (C + t_local * k);
+  int64_t* meta_recv = WsInts("ep.meta_recv", meta_capacity);
   std::vector<int64_t> meta_recv_counts;
-  ctx.comm->AllToAllV(ctx.rank, meta_send, meta_counts, meta_recv, &meta_recv_counts);
   Tensor y_local({t_local, h});
-  if (!ctx.comm->GroupStatus().ok() ||
-      meta_recv_counts.size() != static_cast<size_t>(n)) {
-    return y_local;  // degraded group: match the collectives' zero-fill
+  if (!ctx.comm
+           ->AllToAllV(ctx.rank, meta_send, meta_counts, meta_recv, meta_capacity,
+                       &meta_recv_counts)
+           .ok()) {
+    return y_local;  // degraded group: zero output, no dispatch
   }
 
   // --- Receiver tables. Grouped rows are numbered (expert, source rank,
@@ -1032,10 +1036,9 @@ Tensor PipelinedForwardAG(const ShardContext& ctx, const ModelConfig& config, in
     meta[i] = static_cast<int64_t>(static_cast<uint64_t>(weight) << 32 | expert);
   }
   int64_t* meta_all = WsInts("ep.ag.meta_all", t_total * k);
-  ctx.comm->AllGather(ctx.rank, meta, meta_all, t_local * k);
   Tensor y_local({t_local, h});
-  if (!ctx.comm->GroupStatus().ok()) {
-    return y_local;  // degraded group: match the collectives' zero-fill
+  if (!ctx.comm->AllGather(ctx.rank, meta, meta_all, t_local * k).ok()) {
+    return y_local;  // degraded group: zero output, no dispatch
   }
 
   // --- Local scatter: the copies routed to this rank's experts, grouped by
@@ -1246,7 +1249,10 @@ void EpFfnRematerialize(const ShardContext& ctx, const ModelConfig& config,
     } else {
       if (cache->x_all.empty()) {
         cache->x_all = Tensor({t_local * n, h});
-        ctx.comm->AllGather(ctx.rank, x_local.data(), cache->x_all.data(), t_local * h);
+        if (!ctx.comm->AllGather(ctx.rank, x_local.data(), cache->x_all.data(), t_local * h)
+                 .ok()) {
+          return;  // degraded group: the backward's collectives fail as well
+        }
       }
       cache->ffn_in = GatherRows(cache->x_all, cache->copy_token);
     }

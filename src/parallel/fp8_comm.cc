@@ -31,8 +31,10 @@ Tensor Fp8ReduceScatter(Communicator& comm, int rank, const Tensor& data,
 
   uint8_t* recv_codes = ws.Bytes("fp8.rs.recv_codes", n * chunk_codes);
   float* recv_scales = ws.Floats("fp8.rs.recv_scales", n * chunk_scales);
-  comm.AllToAll(rank, send_codes, recv_codes, chunk_codes);
-  comm.AllToAll(rank, send_scales, recv_scales, chunk_scales);
+  if (!comm.AllToAll(rank, send_codes, recv_codes, chunk_codes).ok() ||
+      !comm.AllToAll(rank, send_scales, recv_scales, chunk_scales).ok()) {
+    return Tensor({shard_rows, cols});  // degraded group: zeros, nothing dequantized
+  }
 
   // Dequantize each source's chunk and reduce in FP32 (double accumulator).
   // `out` is fully written by the acc copy-out loop below, so Uninit is safe.
@@ -70,8 +72,10 @@ Tensor Fp8AllGather(Communicator& comm, int rank, const Tensor& local,
 
   uint8_t* all_codes = ws.Bytes("fp8.ag.all_codes", n * chunk_codes);
   float* all_scales = ws.Floats("fp8.ag.all_scales", n * chunk_scales);
-  comm.AllGather(rank, local_codes, all_codes, chunk_codes);
-  comm.AllGather(rank, local_scales, all_scales, chunk_scales);
+  if (!comm.AllGather(rank, local_codes, all_codes, chunk_codes).ok() ||
+      !comm.AllGather(rank, local_scales, all_scales, chunk_scales).ok()) {
+    return Tensor({n * rows, cols});  // degraded group: zeros, nothing dequantized
+  }
 
   // Each source chunk dequantizes into its contiguous row range, covering
   // every element of the gathered output.

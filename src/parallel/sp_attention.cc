@@ -31,9 +31,10 @@ Tensor SeqToHeadA2A(const ShardContext& ctx, const Tensor& x_local, int64_t batc
     }
   }
   std::vector<float> recv(send.size());
-  ctx.comm->AllToAll(ctx.rank, send.data(), recv.data(), block);
-
   Tensor x_heads({batch * s_local * n, h_loc * d});
+  if (!ctx.comm->AllToAll(ctx.rank, send.data(), recv.data(), block).ok()) {
+    return x_heads;  // degraded group: zeros, nothing unpacked
+  }
   for (int src = 0; src < n; ++src) {
     const float* in = recv.data() + static_cast<int64_t>(src) * block;
     for (int64_t b = 0; b < batch; ++b) {
@@ -66,9 +67,10 @@ Tensor HeadToSeqA2A(const ShardContext& ctx, const Tensor& x_heads, int64_t batc
     }
   }
   std::vector<float> recv(send.size());
-  ctx.comm->AllToAll(ctx.rank, send.data(), recv.data(), block);
-
   Tensor x_local({batch * s_local, heads * d});
+  if (!ctx.comm->AllToAll(ctx.rank, send.data(), recv.data(), block).ok()) {
+    return x_local;  // degraded group: zeros, nothing unpacked
+  }
   for (int src = 0; src < n; ++src) {
     const float* in = recv.data() + static_cast<int64_t>(src) * block;
     for (int64_t b = 0; b < batch; ++b) {

@@ -25,8 +25,10 @@ Tensor AllGatherTokens(const ShardContext& ctx, const Tensor& x_local, int64_t b
                        int64_t s_local, int64_t width) {
   const int n = ctx.size();
   std::vector<float> gathered(static_cast<size_t>(n) * x_local.numel());
-  ctx.comm->AllGather(ctx.rank, x_local.data(), gathered.data(), x_local.numel());
   Tensor x_full({batch * s_local * n, width});
+  if (!ctx.comm->AllGather(ctx.rank, x_local.data(), gathered.data(), x_local.numel()).ok()) {
+    return x_full;  // degraded group: zeros, nothing unpacked
+  }
   for (int src = 0; src < n; ++src) {
     const float* chunk = gathered.data() + static_cast<int64_t>(src) * x_local.numel();
     for (int64_t b = 0; b < batch; ++b) {
@@ -58,7 +60,9 @@ Tensor ReduceScatterTokens(const ShardContext& ctx, const Tensor& x_full, int64_
     }
   }
   Tensor x_local({batch * s_local, width});
-  ctx.comm->ReduceScatter(ctx.rank, send.data(), x_local.data(), chunk_elems);
+  if (!ctx.comm->ReduceScatter(ctx.rank, send.data(), x_local.data(), chunk_elems).ok()) {
+    return Tensor({batch * s_local, width});  // degraded group: zeros
+  }
   return x_local;
 }
 

@@ -60,7 +60,8 @@ Tensor TpFfnForward(const ShardContext& ctx, const ModelConfig& config,
 
   // Gather all tokens and routing metadata (every rank runs every expert).
   cache->x_all = Tensor({t_total, h});
-  ctx.comm->AllGather(ctx.rank, x_local.data(), cache->x_all.data(), t_local * h);
+  Status gathered =
+      ctx.comm->AllGather(ctx.rank, x_local.data(), cache->x_all.data(), t_local * h);
   std::vector<int64_t> idx_local(static_cast<size_t>(t_local * k));
   std::vector<float> weight_local(static_cast<size_t>(t_local * k));
   for (int64_t i = 0; i < t_local * k; ++i) {
@@ -72,8 +73,16 @@ Tensor TpFfnForward(const ShardContext& ctx, const ModelConfig& config,
   }
   std::vector<int64_t> idx_all(static_cast<size_t>(t_total * k));
   std::vector<float> weight_all(static_cast<size_t>(t_total * k));
-  ctx.comm->AllGather(ctx.rank, idx_local.data(), idx_all.data(), t_local * k);
-  ctx.comm->AllGather(ctx.rank, weight_local.data(), weight_all.data(), t_local * k);
+  if (gathered.ok()) {
+    gathered = ctx.comm->AllGather(ctx.rank, idx_local.data(), idx_all.data(), t_local * k);
+  }
+  if (gathered.ok()) {
+    gathered =
+        ctx.comm->AllGather(ctx.rank, weight_local.data(), weight_all.data(), t_local * k);
+  }
+  if (!gathered.ok()) {
+    return Tensor({t_local, h});  // degraded group: zeros, no expert compute
+  }
 
   // Global dispatch over all experts.
   cache->copy_token.clear();
@@ -116,7 +125,9 @@ Tensor TpFfnForward(const ShardContext& ctx, const ModelConfig& config,
     }
   }
   Tensor y_local({t_local, h});
-  ctx.comm->ReduceScatter(ctx.rank, full_out.data(), y_local.data(), t_local * h);
+  if (!ctx.comm->ReduceScatter(ctx.rank, full_out.data(), y_local.data(), t_local * h).ok()) {
+    return Tensor({t_local, h});  // degraded group: zeros
+  }
   return y_local;
 }
 
@@ -134,8 +145,18 @@ TpFfnGrads TpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
   TpFfnGrads grads;
 
   // Backward of reduce-scatter: all-gather.
+  // Degraded group: zero input grads and no weight grads; the caller's
+  // GroupStatus() check discards them.
+  const auto degraded = [&] {
+    TpFfnGrads zero;
+    zero.dx_local = Tensor({t_local, h});
+    zero.dcombine_local = Tensor({t_local, k});
+    return zero;
+  };
   Tensor dy_all({t_total, h});
-  ctx.comm->AllGather(ctx.rank, dy_local.data(), dy_all.data(), t_local * h);
+  if (!ctx.comm->AllGather(ctx.rank, dy_local.data(), dy_all.data(), t_local * h).ok()) {
+    return degraded();
+  }
 
   Tensor dfc2_out({rows, h});
   Tensor dcombine_all({t_total, k});
@@ -174,12 +195,16 @@ TpFfnGrads TpFfnBackward(const ShardContext& ctx, const ModelConfig& config,
 
   Tensor dx_all = ScatterAddRows(dffn_in, cache.copy_token, t_total);
   grads.dx_local = Tensor({t_local, h});
-  ctx.comm->ReduceScatter(ctx.rank, dx_all.data(), grads.dx_local.data(), t_local * h);
-
   grads.dcombine_local = Tensor({t_local, k});
-  ctx.comm->ReduceScatter(ctx.rank, dcombine_all.data(), grads.dcombine_local.data(),
-                           t_local * k);
-  return grads;
+  // The combine-grad reduce-scatter is skipped once the dx one failed.
+  if (ctx.comm->ReduceScatter(ctx.rank, dx_all.data(), grads.dx_local.data(), t_local * h)
+          .ok() &&
+      ctx.comm->ReduceScatter(ctx.rank, dcombine_all.data(), grads.dcombine_local.data(),
+                              t_local * k)
+          .ok()) {
+    return grads;
+  }
+  return degraded();
 }
 
 }  // namespace msmoe

@@ -34,7 +34,7 @@ TEST(CollectiveGroupTest, AllGather) {
       send[static_cast<size_t>(i)] = static_cast<float>(rank * 10 + i);
     }
     std::vector<float> recv(static_cast<size_t>(n * count));
-    group.AllGather(rank, send.data(), recv.data(), count);
+    EXPECT_TRUE(group.AllGather(rank, send.data(), recv.data(), count).ok());
     results[static_cast<size_t>(rank)] = recv;
   });
   for (int rank = 0; rank < n; ++rank) {
@@ -55,7 +55,7 @@ TEST(CollectiveGroupTest, AllReduceSumsAcrossRanks) {
   RunOnRanks(n, [&](int rank) {
     std::vector<float> send(count, static_cast<float>(rank + 1));
     std::vector<float> recv(count);
-    group.AllReduce(rank, send.data(), recv.data(), count);
+    EXPECT_TRUE(group.AllReduce(rank, send.data(), recv.data(), count).ok());
     results[static_cast<size_t>(rank)] = recv;
   });
   const float expected = static_cast<float>(n * (n + 1) / 2);
@@ -80,7 +80,7 @@ TEST(CollectiveGroupTest, AllReduceBitIdenticalAcrossRanks) {
       v = static_cast<float>(rng.NextGaussian(0.0, 1e8));
     }
     std::vector<float> recv(count);
-    group.AllReduce(rank, send.data(), recv.data(), count);
+    EXPECT_TRUE(group.AllReduce(rank, send.data(), recv.data(), count).ok());
     results[static_cast<size_t>(rank)] = recv;
   });
   for (int rank = 1; rank < n; ++rank) {
@@ -103,7 +103,7 @@ TEST(CollectiveGroupTest, ReduceScatter) {
       }
     }
     std::vector<float> recv(count);
-    group.ReduceScatter(rank, send.data(), recv.data(), count);
+    EXPECT_TRUE(group.ReduceScatter(rank, send.data(), recv.data(), count).ok());
     results[static_cast<size_t>(rank)] = recv;
   });
   // Chunk r = sum over ranks of (rank+1)*100 + r = 600 + 3r.
@@ -127,13 +127,13 @@ TEST(CollectiveGroupTest, ReduceScatterThenAllGatherEqualsAllReduce) {
       v = static_cast<float>(rng.NextGaussian());
     }
     std::vector<float> chunk_out(static_cast<size_t>(chunk));
-    group.ReduceScatter(rank, send.data(), chunk_out.data(), chunk);
+    EXPECT_TRUE(group.ReduceScatter(rank, send.data(), chunk_out.data(), chunk).ok());
     std::vector<float> full(static_cast<size_t>(total));
-    group.AllGather(rank, chunk_out.data(), full.data(), chunk);
+    EXPECT_TRUE(group.AllGather(rank, chunk_out.data(), full.data(), chunk).ok());
     via_rs_ag[static_cast<size_t>(rank)] = full;
 
     std::vector<float> ar(static_cast<size_t>(total));
-    group2.AllReduce(rank, send.data(), ar.data(), total);
+    EXPECT_TRUE(group2.AllReduce(rank, send.data(), ar.data(), total).ok());
     via_ar[static_cast<size_t>(rank)] = ar;
   });
   for (int rank = 0; rank < n; ++rank) {
@@ -147,7 +147,7 @@ TEST(CollectiveGroupTest, Broadcast) {
   std::vector<std::vector<float>> results(n);
   RunOnRanks(n, [&](int rank) {
     std::vector<float> data(3, rank == 2 ? 7.0f : -1.0f);
-    group.Broadcast(rank, /*root=*/2, data.data(), 3);
+    EXPECT_TRUE(group.Broadcast(rank, /*root=*/2, data.data(), 3).ok());
     results[static_cast<size_t>(rank)] = data;
   });
   for (int rank = 0; rank < n; ++rank) {
@@ -171,7 +171,7 @@ TEST(CollectiveGroupTest, AllToAllTransposesBlocks) {
       }
     }
     std::vector<float> recv(static_cast<size_t>(n * count));
-    group.AllToAll(rank, send.data(), recv.data(), count);
+    EXPECT_TRUE(group.AllToAll(rank, send.data(), recv.data(), count).ok());
     results[static_cast<size_t>(rank)] = recv;
   });
   for (int rank = 0; rank < n; ++rank) {
@@ -199,7 +199,10 @@ TEST(CollectiveGroupTest, AllToAllV) {
     }
     std::vector<float> recv(static_cast<size_t>(n * (rank + 1)));
     std::vector<int64_t> counts;
-    group.AllToAllV(rank, send.data(), send_counts, recv.data(), &counts);
+    EXPECT_TRUE(group
+                    .AllToAllV(rank, send.data(), send_counts, recv.data(),
+                               static_cast<int64_t>(recv.size()), &counts)
+                    .ok());
     results[static_cast<size_t>(rank)] = recv;
     recv_counts[static_cast<size_t>(rank)] = counts;
   });
@@ -221,7 +224,8 @@ TEST(CollectiveGroupTest, ExchangeScalars) {
   CollectiveGroup group(n);
   std::vector<std::vector<double>> results(n);
   RunOnRanks(n, [&](int rank) {
-    results[static_cast<size_t>(rank)] = group.ExchangeScalars(rank, rank * 1.5);
+    EXPECT_TRUE(
+        group.ExchangeScalars(rank, rank * 1.5, &results[static_cast<size_t>(rank)]).ok());
   });
   for (int rank = 0; rank < n; ++rank) {
     for (int src = 0; src < n; ++src) {
@@ -237,7 +241,7 @@ TEST(CollectiveGroupTest, WireByteAccounting) {
   RunOnRanks(n, [&](int rank) {
     std::vector<float> send(count, 1.0f);
     std::vector<float> recv(static_cast<size_t>(n * count));
-    group.AllGather(rank, send.data(), recv.data(), count);
+    EXPECT_TRUE(group.AllGather(rank, send.data(), recv.data(), count).ok());
   });
   // Ring all-gather: (n-1) * count * 4 bytes.
   EXPECT_EQ(group.wire_bytes(), static_cast<uint64_t>((n - 1) * count * 4));
@@ -251,7 +255,7 @@ TEST(CollectiveGroupTest, BroadcastWireByteAccounting) {
   CollectiveGroup group(n);
   RunOnRanks(n, [&](int rank) {
     std::vector<float> data(static_cast<size_t>(count), rank == 1 ? 2.0f : 0.0f);
-    group.Broadcast(rank, /*root=*/1, data.data(), count);
+    EXPECT_TRUE(group.Broadcast(rank, /*root=*/1, data.data(), count).ok());
     EXPECT_EQ(data[0], 2.0f);
   });
   // Root sends the payload to each of the n-1 non-roots, accounted once.
@@ -261,10 +265,16 @@ TEST(CollectiveGroupTest, BroadcastWireByteAccounting) {
 TEST(CollectiveGroupTest, ExchangeScalarsWireByteAccounting) {
   const int n = 4;
   CollectiveGroup group(n);
-  RunOnRanks(n, [&](int rank) { group.ExchangeScalars(rank, 1.0); });
+  RunOnRanks(n, [&](int rank) {
+    std::vector<double> out;
+    EXPECT_TRUE(group.ExchangeScalars(rank, 1.0, &out).ok());
+  });
   // An all-gather of one double per member: (n-1) * 8 bytes total.
   EXPECT_EQ(group.wire_bytes(), static_cast<uint64_t>((n - 1) * sizeof(double)));
-  RunOnRanks(n, [&](int rank) { group.ExchangeScalars(rank, 2.0); });
+  RunOnRanks(n, [&](int rank) {
+    std::vector<double> out;
+    EXPECT_TRUE(group.ExchangeScalars(rank, 2.0, &out).ok());
+  });
   EXPECT_EQ(group.wire_bytes(), 2 * static_cast<uint64_t>((n - 1) * sizeof(double)));
 }
 
@@ -284,8 +294,11 @@ TEST(CollectiveGroupTest, AllToAllVAccountsTotalOnceAndReturnsIt) {
     std::vector<float> send(static_cast<size_t>(total), 1.0f);
     std::vector<float> recv(64);
     std::vector<int64_t> recv_counts;
-    returned[static_cast<size_t>(rank)] =
-        group.AllToAllV(rank, send.data(), send_counts, recv.data(), &recv_counts);
+    EXPECT_TRUE(group
+                    .AllToAllV(rank, send.data(), send_counts, recv.data(),
+                               static_cast<int64_t>(recv.size()), &recv_counts,
+                               &returned[static_cast<size_t>(rank)])
+                    .ok());
   });
   uint64_t expected = 0;
   for (int src = 0; src < n; ++src) {
@@ -312,8 +325,9 @@ TEST(CollectiveGroupTest, AllToAllWireBytesLessThanAllGatherTotal) {
   RunOnRanks(n, [&](int rank) {
     std::vector<float> send(static_cast<size_t>(n * count), 1.0f);
     std::vector<float> recv(static_cast<size_t>(n * count));
-    a2a_group.AllToAll(rank, send.data(), recv.data(), count);
-    ag_group.AllGather(rank, send.data(), recv.data(), count);  // count per rank
+    EXPECT_TRUE(a2a_group.AllToAll(rank, send.data(), recv.data(), count).ok());
+    // count per rank
+    EXPECT_TRUE(ag_group.AllGather(rank, send.data(), recv.data(), count).ok());
   });
   EXPECT_EQ(a2a_group.wire_bytes(), static_cast<uint64_t>(n * (n - 1) * count * 4 / n));
   EXPECT_EQ(ag_group.wire_bytes(), static_cast<uint64_t>((n - 1) * count * 4));
@@ -335,10 +349,10 @@ TEST(HierarchicalCommTest, MatchesFlatAllReduce) {
       v = static_cast<float>(rng.NextGaussian());
     }
     std::vector<float> flat_result(count);
-    flat.AllReduce(rank, data.data(), flat_result.data(), count);
+    EXPECT_TRUE(flat.AllReduce(rank, data.data(), flat_result.data(), count).ok());
     flat_out[static_cast<size_t>(rank)] = flat_result;
 
-    hier.AllReduce(rank, data.data(), count);
+    EXPECT_TRUE(hier.AllReduce(rank, data.data(), data.data(), count).ok());
     hier_out[static_cast<size_t>(rank)] = data;
   });
   for (int rank = 0; rank < world; ++rank) {
@@ -359,7 +373,7 @@ TEST(HierarchicalCommTest, AllRanksIdentical) {
   std::vector<std::vector<float>> out(world);
   RunOnRanks(world, [&](int rank) {
     std::vector<float> data(16, static_cast<float>(rank));
-    hier.AllReduce(rank, data.data(), 16);
+    EXPECT_TRUE(hier.AllReduce(rank, data.data(), data.data(), 16).ok());
     out[static_cast<size_t>(rank)] = data;
   });
   for (int rank = 1; rank < world; ++rank) {
@@ -378,7 +392,7 @@ TEST(HierarchicalCommTest, InterNodeVolumeMatchesAppendixA1) {
   HierarchicalComm hier(nodes, per_node);
   RunOnRanks(nodes * per_node, [&](int rank) {
     std::vector<float> data(static_cast<size_t>(count), 1.0f);
-    hier.AllReduce(rank, data.data(), count);
+    EXPECT_TRUE(hier.AllReduce(rank, data.data(), data.data(), count).ok());
   });
   const uint64_t bytes = count * 4;
   // Intra: per node, RS + AG = 2 * (n-1) * (P/n) -> accounted as
@@ -426,7 +440,7 @@ TEST(Bf16WireTest, CompressedAllToAllHalvesPayload) {
       wire[i] = Bf16Round(grads[i]);
     }
     std::vector<float> recv(static_cast<size_t>(n * count));
-    group.AllToAll(rank, wire.data(), recv.data(), count);
+    EXPECT_TRUE(group.AllToAll(rank, wire.data(), recv.data(), count).ok());
     // Local FP32 reduction of the received shards.
     std::vector<float> reduced(static_cast<size_t>(count), 0.0f);
     for (int src = 0; src < n; ++src) {
@@ -477,7 +491,7 @@ TEST(RunOnRanksTest, RankFailureStillReleasesThreadsForReuse) {
         float value = 1.0f;
         float out = 0.0f;
         // Peer aborts; the cancellable barrier must return instead of hang.
-        (void)group.AllReduce(rank, &value, &out, 1);
+        EXPECT_FALSE(group.AllReduce(rank, &value, &out, 1).ok());
       },
       &group);
   EXPECT_FALSE(status.ok());
@@ -518,7 +532,7 @@ TEST(AsyncCollectiveTest, StartAllGatherMatchesSyncAcrossChunkCounts) {
         send[static_cast<size_t>(i)] = static_cast<float>(rank * 1000 + i);
       }
       std::vector<float> expect(static_cast<size_t>(n) * count);
-      comm.AllGather(rank, send.data(), expect.data(), count);
+      EXPECT_TRUE(comm.AllGather(rank, send.data(), expect.data(), count).ok());
       std::vector<float> got(static_cast<size_t>(n) * count, -1.0f);
       auto handle = comm.StartAllGather(rank, send.data(), got.data(), count, chunks,
                                         /*quantum=*/k);
@@ -550,7 +564,7 @@ TEST(AsyncCollectiveTest, StartReduceScatterBitwiseMatchesSync) {
                   static_cast<float>(rank);
       }
       std::vector<float> expect(static_cast<size_t>(count));
-      comm.ReduceScatter(rank, send.data(), expect.data(), count);
+      EXPECT_TRUE(comm.ReduceScatter(rank, send.data(), expect.data(), count).ok());
       std::vector<float> got(static_cast<size_t>(count), -1.0f);
       auto handle = comm.StartReduceScatter(rank, send.data(), got.data(), count, chunks);
       // Signal producer chunks in REVERSE order: the comm thread still
@@ -587,7 +601,9 @@ TEST(AsyncCollectiveTest, StartAllToAllVMatchesSyncWithRaggedCounts) {
       }
       std::vector<int32_t> expect(static_cast<size_t>(n) * 64);
       std::vector<int64_t> expect_counts;
-      comm.AllToAllV(rank, send.data(), send_counts, expect.data(), &expect_counts);
+      EXPECT_TRUE(comm.AllToAllV(rank, send.data(), send_counts, expect.data(),
+                                 static_cast<int64_t>(expect.size()), &expect_counts)
+                      .ok());
       std::vector<int32_t> got;
       auto handle = comm.StartAllToAllV(rank, send.data(), send_counts, &got, chunks);
       ASSERT_TRUE(handle->WaitAll().ok());
@@ -640,7 +656,7 @@ TEST(AsyncCollectiveTest, ChunkedWireBytesEqualMonolithic) {
   RunOnRanks(n, [&](int rank) {
     std::vector<float> send(static_cast<size_t>(count), 1.0f);
     std::vector<float> recv(static_cast<size_t>(n) * count);
-    mono.AllGather(rank, send.data(), recv.data(), count);
+    EXPECT_TRUE(mono.AllGather(rank, send.data(), recv.data(), count).ok());
     auto handle = chunked.StartAllGather(rank, send.data(), recv.data(), count, 5);
     ASSERT_TRUE(handle->WaitAll().ok());
   });
@@ -698,7 +714,7 @@ TEST(AsyncCollectiveTest, WireModelAddsAbortableBlockingTime) {
   RunOnRanks(n, [&](int rank) {
     std::vector<float> send(static_cast<size_t>(count), 1.0f);
     std::vector<float> recv(static_cast<size_t>(n) * count);
-    comm.AllGather(rank, send.data(), recv.data(), count);
+    EXPECT_TRUE(comm.AllGather(rank, send.data(), recv.data(), count).ok());
   });
   const double elapsed_us =
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
@@ -714,7 +730,7 @@ TEST(AsyncCollectiveTest, WireModelAddsAbortableBlockingTime) {
     if (rank == 0) {
       slow.Abort(Aborted("test abort"));
     }
-    slow.AllGather(rank, send.data(), recv.data(), count);
+    EXPECT_FALSE(slow.AllGather(rank, send.data(), recv.data(), count).ok());
   });
   const double abort_us =
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t1)
@@ -754,11 +770,12 @@ TEST(CollectiveGroupAbortTest, NextExchangeAfterAbortDoesNotRaceThePeerCopy) {
         std::vector<int64_t> all_counts;
         std::vector<int64_t> recv_counts;
         for (;;) {
-          if (!group.TryExchangeCounts(member, counts, &all_counts).ok()) {
+          if (!group.ExchangeCounts(member, counts, &all_counts).ok()) {
             break;
           }
           EXPECT_EQ(all_counts, std::vector<int64_t>(kMembers * kMembers, kBlock));
-          if (!group.TryAllToAllV(member, send.data(), counts, recv.data(), &recv_counts)
+          if (!group.AllToAllV(member, send.data(), counts, recv.data(),
+                               static_cast<int64_t>(recv.size()), &recv_counts)
                    .ok()) {
             break;
           }
@@ -769,9 +786,11 @@ TEST(CollectiveGroupAbortTest, NextExchangeAfterAbortDoesNotRaceThePeerCopy) {
           ++completed[static_cast<size_t>(member)];
         }
         // The abort is sticky: the next exchange and all-to-all fail at once.
-        EXPECT_FALSE(group.TryExchangeCounts(member, counts, &all_counts).ok());
-        EXPECT_FALSE(
-            group.TryAllToAllV(member, send.data(), counts, recv.data(), &recv_counts).ok());
+        EXPECT_FALSE(group.ExchangeCounts(member, counts, &all_counts).ok());
+        EXPECT_FALSE(group
+                         .AllToAllV(member, send.data(), counts, recv.data(),
+                                    static_cast<int64_t>(recv.size()), &recv_counts)
+                         .ok());
       });
     }
     // Abort at a random moment once the members are streaming collectives.

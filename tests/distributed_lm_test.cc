@@ -185,7 +185,8 @@ TEST(DistributedLmTrainingTest, LossDecreasesUnderMpTraining) {
       std::vector<Tensor*> tensors = grads.TensorList();
       for (Tensor* tensor : tensors) {
         std::vector<float> reduced(static_cast<size_t>(tensor->numel()));
-        sync_group.AllReduce(rank, tensor->data(), reduced.data(), tensor->numel());
+        EXPECT_TRUE(
+            sync_group.AllReduce(rank, tensor->data(), reduced.data(), tensor->numel()).ok());
         std::copy(reduced.begin(), reduced.end(), tensor->data());
       }
       adam.Step(grads.TensorListConst());

@@ -181,7 +181,8 @@ TEST(ElasticCommTest, StaleEpochFailsLoudlyInsteadOfDeadlocking) {
   // Sync collectives on the stale epoch return immediately with the sticky
   // error — no barrier wait against ranks that moved on.
   std::vector<float> buf(3, 1.0f);
-  old_comm->AllReduce(0, buf.data(), buf.data(), 3);
+  EXPECT_EQ(old_comm->AllReduce(0, buf.data(), buf.data(), 3).code(),
+            StatusCode::kFailedPrecondition);
   EXPECT_FALSE(old_comm->GroupStatus().ok());
 
   // Async Start* on the stale epoch yields an already-failed handle.
@@ -287,7 +288,7 @@ TEST(CommitTokenTest, CompletedBarrierReturnsOkEvenWhenAFaultLandsRightAfter) {
     std::vector<std::thread> threads;
     for (int rank = 0; rank < 3; ++rank) {
       threads.emplace_back([&, rank] {
-        token[static_cast<size_t>(rank)] = comm->TryBarrier(rank);
+        token[static_cast<size_t>(rank)] = comm->Barrier(rank);
         if (rank == 2) {
           // The moment rank 2 exits, the barrier has closed for everyone;
           // this abort races with the peers' own exits.
@@ -317,7 +318,7 @@ TEST(CommitTokenTest, CompletedAllGatherReturnsOkAndFullBufferDespiteLateFault) 
       threads.emplace_back([&, rank] {
         const float mine = static_cast<float>(rank + 1);
         token[static_cast<size_t>(rank)] =
-            comm->TryAllGather(rank, &mine, recv[static_cast<size_t>(rank)].data(), 1);
+            comm->AllGather(rank, &mine, recv[static_cast<size_t>(rank)].data(), 1);
         if (rank == 0) {
           comm->Abort(Aborted("fault right after the gather"), /*culprit_rank=*/0);
         }
@@ -343,7 +344,7 @@ TEST(CommitTokenTest, CancelledBarrierReturnsTheSameErrorOnEveryMember) {
   std::vector<std::thread> threads;
   for (int rank = 0; rank < 2; ++rank) {
     threads.emplace_back([&, rank] {
-      token[static_cast<size_t>(rank)] = comm->TryBarrier(rank);
+      token[static_cast<size_t>(rank)] = comm->Barrier(rank);
     });
   }
   // Rank 2 never arrives; it aborts instead, cancelling the open barrier.

@@ -49,14 +49,14 @@ TEST(CancellableBarrierTest, TimeoutSurfacesDeadlineExceededInsteadOfHanging) {
   CollectiveGroup group(2);
   group.set_timeout_ms(50.0);
   const auto start = Clock::now();
-  const Status status = group.TryBarrier();  // the peer never arrives
+  const Status status = group.Barrier();  // the peer never arrives
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_LT(ElapsedMs(start), 10000.0);
   // The error is sticky: subsequent collectives fail fast.
   float send = 1.0f;
   float recv = 0.0f;
   const auto retry = Clock::now();
-  EXPECT_EQ(group.TryAllReduce(0, &send, &recv, 1).code(),
+  EXPECT_EQ(group.AllReduce(0, &send, &recv, 1).code(),
             StatusCode::kDeadlineExceeded);
   EXPECT_LT(ElapsedMs(retry), 1000.0);
 }
@@ -64,7 +64,7 @@ TEST(CancellableBarrierTest, TimeoutSurfacesDeadlineExceededInsteadOfHanging) {
 TEST(CancellableBarrierTest, AbortReleasesBlockedWaiter) {
   CollectiveGroup group(2);  // no timeout: waits forever unless cancelled
   Status observed;
-  std::thread waiter([&] { observed = group.TryBarrier(); });
+  std::thread waiter([&] { observed = group.Barrier(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   group.Abort(Aborted("test abort"));
   waiter.join();
@@ -80,7 +80,7 @@ TEST(CancellableBarrierTest, TimeoutReleasesEveryWaiterWithTheSameError) {
   std::vector<std::thread> waiters;
   for (int member = 0; member < 2; ++member) {  // member 2 never arrives
     waiters.emplace_back(
-        [&group, &observed, member] { observed[member] = group.TryBarrier(); });
+        [&group, &observed, member] { observed[member] = group.Barrier(); });
   }
   for (std::thread& t : waiters) {
     t.join();
@@ -97,9 +97,9 @@ TEST(CancellableBarrierTest, RecoveryBarrierRestoresTheGroup) {
   RunOnRanks(2, [&](int rank) {
     float send = static_cast<float>(rank + 1);
     float recv = 0.0f;
-    EXPECT_EQ(group.TryAllReduce(rank, &send, &recv, 1).code(), StatusCode::kAborted);
+    EXPECT_EQ(group.AllReduce(rank, &send, &recv, 1).code(), StatusCode::kAborted);
     group.RecoveryBarrier(rank);
-    EXPECT_TRUE(group.TryAllReduce(rank, &send, &recv, 1).ok());
+    EXPECT_TRUE(group.AllReduce(rank, &send, &recv, 1).ok());
     results[static_cast<size_t>(rank)] = recv;
   });
   EXPECT_TRUE(group.status().ok());
@@ -138,7 +138,7 @@ TEST(RunOnRanksStatusTest, AbortsGroupSoSurvivorsDoNotDeadlock) {
         if (rank == 0) {
           throw std::runtime_error("rank died before the collective");
         }
-        survivor = group.TryBarrier();
+        survivor = group.Barrier();
       },
       &group);
   ASSERT_FALSE(status.ok());
@@ -188,72 +188,135 @@ TEST(FaultPlanTest, FlipOneBitIsDeterministicAndFlipsExactlyOneBit) {
 
 // --- Communicator fault injection -------------------------------------------
 
-TEST(CommunicatorFaultTest, CrashMidCollectiveFailsAllRanksThenRecovers) {
-  std::unique_ptr<Communicator> comm = MakeCommunicator(CommBackend::kFlat, 4);
+// Every blocking collective, on both backends: rank `kCulprit` crashes at
+// its second op (op index 1), after one clean op. Every rank's failed op
+// must return kAborted naming the culprit, record no event and leave its
+// receive buffer untouched; after RecoveryBarrier the same op returns Ok
+// and records exactly one event per rank.
+struct FaultSweepCase {
+  CommOp op;
+  CommBackend backend;
+};
+
+class CommunicatorFaultTest : public ::testing::TestWithParam<FaultSweepCase> {};
+
+constexpr int kSweepRanks = 4;
+constexpr int kCulprit = 2;
+constexpr int64_t kSweepBlock = 3;  // elements per rank block
+constexpr float kSentinel = -7.0f;
+
+// Runs `op` with every output in *recv (kSweepRanks blocks of floats) or
+// *scalars (ExchangeScalars).
+Status RunSweepOp(Communicator& comm, CommOp op, int rank, std::vector<float>* recv,
+                    std::vector<double>* scalars) {
+  const std::vector<float> send(static_cast<size_t>(kSweepRanks * kSweepBlock),
+                                static_cast<float>(rank + 1));
+  switch (op) {
+    case CommOp::kBarrier:
+      return comm.Barrier(rank);
+    case CommOp::kAllGather:
+      return comm.AllGather(rank, send.data(), recv->data(), kSweepBlock);
+    case CommOp::kReduceScatter:
+      return comm.ReduceScatter(rank, send.data(), recv->data(), kSweepBlock);
+    case CommOp::kAllReduce:
+      return comm.AllReduce(rank, send.data(), recv->data(), kSweepRanks * kSweepBlock);
+    case CommOp::kBroadcast: {
+      // The root broadcasts its own copy, so only the peers' recv is written.
+      std::vector<float> root_data = send;
+      float* data = rank == 0 ? root_data.data() : recv->data();
+      return comm.Broadcast(rank, /*root=*/0, data, kSweepRanks * kSweepBlock);
+    }
+    case CommOp::kAllToAll:
+      return comm.AllToAll(rank, send.data(), recv->data(), kSweepBlock);
+    case CommOp::kAllToAllV: {
+      std::vector<int64_t> recv_counts;
+      return comm.AllToAllV(rank, send.data(),
+                            std::vector<int64_t>(kSweepRanks, kSweepBlock), recv->data(),
+                            static_cast<int64_t>(recv->size()), &recv_counts);
+    }
+    case CommOp::kExchangeScalars:
+      return comm.ExchangeScalars(rank, rank + 1.0, scalars);
+  }
+  return Internal("unknown op");
+}
+
+TEST_P(CommunicatorFaultTest, CrashFailsEveryRankLoudlyThenRecovers) {
+  const FaultSweepCase sweep = GetParam();
+  std::unique_ptr<Communicator> comm =
+      MakeCommunicator(sweep.backend, kSweepRanks, /*gpus_per_node=*/2);
   comm->SetCollectiveTimeout(10000.0);  // backstop: never a hang
   FaultPlan plan(3);
-  plan.AddCrash(/*rank=*/2, /*at_op=*/2);
+  plan.AddCrash(kCulprit, /*at_op=*/1);
   comm->set_fault_plan(&plan);
 
-  std::vector<Status> failed(4);
-  std::vector<float> recovered(4, 0.0f);
-  const auto start = Clock::now();
-  RunOnRanks(4, [&](int rank) {
-    std::vector<float> send(8, static_cast<float>(rank));
-    std::vector<float> recv(8, 0.0f);
-    for (int i = 0; i < 5 && comm->GroupStatus().ok(); ++i) {
-      comm->AllReduce(rank, send.data(), recv.data(), 8);
-    }
-    failed[static_cast<size_t>(rank)] = comm->GroupStatus();
+  const size_t recv_size = static_cast<size_t>(kSweepRanks * kSweepBlock);
+  std::vector<Status> clean(kSweepRanks), failed(kSweepRanks), recovered(kSweepRanks);
+  std::vector<char> untouched(kSweepRanks, 0);
+  std::vector<int> suspect(kSweepRanks, -1);
+  size_t events_after_failure = 0;
+  RunOnRanks(kSweepRanks, [&](int rank) {
+    const size_t r = static_cast<size_t>(rank);
+    std::vector<float> recv(recv_size, kSentinel);
+    std::vector<double> scalars(kSweepRanks, kSentinel);
+    clean[r] = RunSweepOp(*comm, sweep.op, rank, &recv, &scalars);
+    std::fill(recv.begin(), recv.end(), kSentinel);
+    scalars.assign(kSweepRanks, kSentinel);
+    failed[r] = RunSweepOp(*comm, sweep.op, rank, &recv, &scalars);
+    suspect[r] = comm->SuspectRank();
+    untouched[r] = recv == std::vector<float>(recv_size, kSentinel) &&
+                   scalars == std::vector<double>(kSweepRanks, kSentinel);
     comm->RecoveryBarrier(rank);
-    float one = 1.0f;
-    float sum = 0.0f;
-    comm->AllReduce(rank, &one, &sum, 1);
-    recovered[static_cast<size_t>(rank)] = sum;
+    if (rank == 0) {
+      events_after_failure = comm->telemetry().Events().size();
+    }
+    comm->RecoveryBarrier(rank);  // the count above precedes every recovered op
+    recovered[r] = RunSweepOp(*comm, sweep.op, rank, &recv, &scalars);
   });
-  EXPECT_LT(ElapsedMs(start), 60000.0);
-  for (const Status& status : failed) {
-    EXPECT_EQ(status.code(), StatusCode::kAborted);
-    EXPECT_NE(status.message().find("rank 2"), std::string::npos);
-  }
-  EXPECT_TRUE(comm->GroupStatus().ok());
-  for (float sum : recovered) {
-    EXPECT_EQ(sum, 4.0f);  // post-recovery collective is fully functional
-  }
+
   EXPECT_EQ(plan.crashes_fired(), 1);
-}
-
-TEST(CommunicatorFaultTest, HierarchicalBackendAbortsEveryConstituentGroup) {
-  std::unique_ptr<Communicator> comm =
-      MakeCommunicator(CommBackend::kHierarchical, 4, /*gpus_per_node=*/2);
-  comm->SetCollectiveTimeout(10000.0);
-  FaultPlan plan(5);
-  plan.AddCrash(/*rank=*/1, /*at_op=*/1);
-  comm->set_fault_plan(&plan);
-
-  std::vector<Status> failed(4);
-  std::vector<float> recovered(4, 0.0f);
-  RunOnRanks(4, [&](int rank) {
-    std::vector<float> send(4, 1.0f);
-    std::vector<float> recv(4, 0.0f);
-    for (int i = 0; i < 3 && comm->GroupStatus().ok(); ++i) {
-      comm->AllReduce(rank, send.data(), recv.data(), 4);
-    }
-    failed[static_cast<size_t>(rank)] = comm->GroupStatus();
-    comm->RecoveryBarrier(rank);
-    float one = 1.0f;
-    float sum = 0.0f;
-    comm->AllReduce(rank, &one, &sum, 1);
-    recovered[static_cast<size_t>(rank)] = sum;
-  });
-  for (const Status& status : failed) {
-    EXPECT_EQ(status.code(), StatusCode::kAborted);
+  // Only the clean op recorded events: none for the failed one.
+  EXPECT_EQ(events_after_failure, static_cast<size_t>(kSweepRanks));
+  for (int rank = 0; rank < kSweepRanks; ++rank) {
+    const size_t r = static_cast<size_t>(rank);
+    EXPECT_TRUE(clean[r].ok()) << rank << ": " << clean[r].ToString();
+    EXPECT_EQ(failed[r].code(), StatusCode::kAborted) << rank;
+    EXPECT_NE(failed[r].message().find("rank " + std::to_string(kCulprit)),
+              std::string::npos)
+        << rank << ": " << failed[r].ToString();
+    EXPECT_EQ(suspect[r], kCulprit) << rank;
+    EXPECT_TRUE(untouched[r]) << rank;
+    EXPECT_TRUE(recovered[r].ok()) << rank << ": " << recovered[r].ToString();
   }
+  EXPECT_EQ(comm->SuspectRank(), -1);  // recovery clears the attribution
   EXPECT_TRUE(comm->GroupStatus().ok());
-  for (float sum : recovered) {
-    EXPECT_EQ(sum, 4.0f);
+  // Exactly one event per rank for the recovered op, none for the failed one.
+  std::vector<int> per_rank(kSweepRanks, 0);
+  for (const CommEvent& event : comm->telemetry().Events()) {
+    EXPECT_EQ(event.op, sweep.op);
+    ++per_rank[static_cast<size_t>(event.rank)];
   }
+  EXPECT_EQ(per_rank, std::vector<int>(kSweepRanks, 2));
 }
+
+std::vector<FaultSweepCase> AllFaultSweepCases() {
+  std::vector<FaultSweepCase> cases;
+  for (CommBackend backend : {CommBackend::kFlat, CommBackend::kHierarchical}) {
+    for (CommOp op : {CommOp::kBarrier, CommOp::kAllGather, CommOp::kReduceScatter,
+                      CommOp::kAllReduce, CommOp::kBroadcast, CommOp::kAllToAll,
+                      CommOp::kAllToAllV, CommOp::kExchangeScalars}) {
+      cases.push_back({op, backend});
+    }
+  }
+  return cases;
+}
+
+std::string FaultSweepCaseName(const ::testing::TestParamInfo<FaultSweepCase>& param_info) {
+  return std::string(CommOpName(param_info.param.op)) + "_" +
+         CommBackendName(param_info.param.backend);
+}
+
+INSTANTIATE_TEST_SUITE_P(OpsTimesBackends, CommunicatorFaultTest,
+                         ::testing::ValuesIn(AllFaultSweepCases()), FaultSweepCaseName);
 
 // --- Async chunked collective faults ----------------------------------------
 
@@ -465,6 +528,54 @@ TEST(EpPipelineFaultTest, CrashDuringDxReturnAbortsEveryRankThenRerunsBitwise) {
   }
 }
 
+// The fused A2A dispatch sizes its metadata receive buffer for every rank
+// holding as many tokens as this one. A peer holding more must fail the
+// all-to-all on EVERY rank with kInvalidArgument instead of overrunning the
+// buffer (under ASan an overrun would be reported). Rank 1 holds three
+// times rank 0's tokens and routes every copy to rank 0's expert.
+TEST(EpCapacityTest, PeerWithMoreTokensFailsEveryRankInsteadOfOverrunning) {
+  const int n = 2;
+  ModelConfig config = TinyMoeConfig(4, 1);
+  config.hidden = 8;
+  config.ffn_hidden = 8;
+  Rng rng(17);
+  std::vector<Tensor> w1, w3, w2;
+  for (int64_t e = 0; e < config.num_experts; ++e) {
+    w1.push_back(Tensor::Randn({config.hidden, config.ffn_hidden}, rng, 0.0f, 0.2f));
+    w3.push_back(Tensor::Randn({config.hidden, config.ffn_hidden}, rng, 0.0f, 0.2f));
+    w2.push_back(Tensor::Randn({config.ffn_hidden, config.hidden}, rng, 0.0f, 0.2f));
+  }
+  RouterConfig router;
+  router.num_experts = config.num_experts;
+  router.top_k = config.top_k;
+
+  FlatCommunicator comm(n);
+  comm.SetCollectiveTimeout(10000.0);  // backstop: never a hang
+  std::vector<Status> status(static_cast<size_t>(n));
+  std::vector<char> zero_output(static_cast<size_t>(n), 0);
+  RunOnRanks(n, [&](int rank) {
+    const int64_t tokens = rank == 0 ? 2 : 6;
+    Tensor logits({tokens, config.num_experts});
+    for (int64_t t = 0; t < tokens; ++t) {
+      logits.At(t, 0) = 10.0f;  // expert 0 lives on rank 0
+    }
+    Rng x_rng(static_cast<uint64_t>(rank) + 1);
+    const Tensor x_local = Tensor::Randn({tokens, config.hidden}, x_rng);
+    EpFfnCache cache;
+    ShardContext ctx{&comm, rank};
+    const Tensor y = EpFfnForward(ctx, config, EpDispatchMode::kAllToAll, w1, w3, w2,
+                                  x_local, RouteTokens(logits, router), &cache);
+    status[static_cast<size_t>(rank)] = comm.GroupStatus();
+    zero_output[static_cast<size_t>(rank)] = BitwiseEqual(y, Tensor({tokens, config.hidden}));
+  });
+  for (int rank = 0; rank < n; ++rank) {
+    const Status& s = status[static_cast<size_t>(rank)];
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << rank << ": " << s.ToString();
+    EXPECT_NE(s.message().find("member 0"), std::string::npos) << s.ToString();
+    EXPECT_TRUE(zero_output[static_cast<size_t>(rank)]) << rank;
+  }
+}
+
 // The kAllGatherScatter forward and backward Start producer-gated
 // reduce-scatters before their graphs run; the graph ops signal them chunk
 // by chunk. A rank that dies issuing one of those Starts aborts graphs in
@@ -626,7 +737,7 @@ TEST(StragglerDetectorTest, DetectsInjectedSlowRankOnLiveCommunicator) {
     float send = 1.0f;
     float recv = 0.0f;
     for (int i = 0; i < 6; ++i) {
-      comm->AllReduce(rank, &send, &recv, 1);
+      EXPECT_TRUE(comm->AllReduce(rank, &send, &recv, 1).ok());
     }
   });
   StragglerConfig config;

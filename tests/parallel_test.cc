@@ -645,7 +645,8 @@ TEST(Fp8CommTest, ReduceScatterMatchesFp32WithinQuantError) {
     fp8_out[static_cast<size_t>(rank)] =
         Fp8ReduceScatter(fp8_group, rank, data, shard_rows, config);
     std::vector<float> exact(static_cast<size_t>(shard_rows * cols));
-    fp32_group.ReduceScatter(rank, data.data(), exact.data(), shard_rows * cols);
+    EXPECT_TRUE(
+        fp32_group.ReduceScatter(rank, data.data(), exact.data(), shard_rows * cols).ok());
     fp32_out[static_cast<size_t>(rank)] = exact;
   });
   for (int rank = 0; rank < n; ++rank) {

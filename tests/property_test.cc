@@ -48,10 +48,10 @@ TEST_P(CollectiveSweepTest, AllReduceEqualsGatherThenSum) {
       v = static_cast<float>(rng.NextGaussian());
     }
     std::vector<float> reduced(static_cast<size_t>(count));
-    ar_group.AllReduce(rank, send.data(), reduced.data(), count);
+    EXPECT_TRUE(ar_group.AllReduce(rank, send.data(), reduced.data(), count).ok());
 
     std::vector<float> gathered(static_cast<size_t>(n * count));
-    ag_group.AllGather(rank, send.data(), gathered.data(), count);
+    EXPECT_TRUE(ag_group.AllGather(rank, send.data(), gathered.data(), count).ok());
     bool match = true;
     for (int64_t i = 0; i < count; ++i) {
       double sum = 0.0;
@@ -84,8 +84,8 @@ TEST_P(CollectiveSweepTest, AllToAllIsSelfInverse) {
     }
     std::vector<float> once(original.size());
     std::vector<float> twice(original.size());
-    group.AllToAll(rank, original.data(), once.data(), count);
-    group.AllToAll(rank, once.data(), twice.data(), count);
+    EXPECT_TRUE(group.AllToAll(rank, original.data(), once.data(), count).ok());
+    EXPECT_TRUE(group.AllToAll(rank, once.data(), twice.data(), count).ok());
     ok[static_cast<size_t>(rank)] = twice == original;
   });
   for (int rank = 0; rank < n; ++rank) {
@@ -114,8 +114,8 @@ TEST_P(HierarchicalSweepTest, MatchesFlatForAnyTopology) {
       v = static_cast<float>(rng.NextGaussian());
     }
     std::vector<float> expected(static_cast<size_t>(count));
-    flat.AllReduce(rank, data.data(), expected.data(), count);
-    hier.AllReduce(rank, data.data(), count);
+    EXPECT_TRUE(flat.AllReduce(rank, data.data(), expected.data(), count).ok());
+    EXPECT_TRUE(hier.AllReduce(rank, data.data(), data.data(), count).ok());
     double err = 0.0;
     for (int64_t i = 0; i < count; ++i) {
       err = std::max(err, static_cast<double>(std::fabs(

@@ -1,126 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "src/base/rng.h"
-#include "src/comm/collective_group.h"
-#include "src/comm/ring_algorithms.h"
 #include "src/sim/trace_export.h"
 
 namespace msmoe {
 namespace {
-
-// --- Ring algorithms (§3.2: "ring-based communication pattern with only
-// neighboring workers") ---
-
-TEST(NeighborExchangeTest, MovesOneHop) {
-  const int n = 4;
-  const int64_t count = 3;
-  CollectiveGroup group(n);
-  std::vector<std::vector<float>> received(n);
-  RunOnRanks(n, [&](int rank) {
-    std::vector<float> send(count, static_cast<float>(rank));
-    std::vector<float> recv(count, -1.0f);
-    NeighborExchange(group, rank, send.data(), recv.data(), count);
-    received[static_cast<size_t>(rank)] = recv;
-  });
-  for (int rank = 0; rank < n; ++rank) {
-    for (float v : received[static_cast<size_t>(rank)]) {
-      EXPECT_EQ(v, static_cast<float>((rank - 1 + n) % n)) << rank;
-    }
-  }
-}
-
-class RingAlgorithmTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(RingAlgorithmTest, AllGatherMatchesDirect) {
-  const int n = GetParam();
-  const int64_t count = 5;
-  CollectiveGroup ring_group(n);
-  CollectiveGroup direct_group(n);
-  // One byte per rank: rank threads write concurrently, and vector<bool>'s
-  // packed bit references would race on the shared word.
-  std::vector<char> ok(static_cast<size_t>(n), 0);
-  RunOnRanks(n, [&](int rank) {
-    Rng rng(static_cast<uint64_t>(rank) + 3);
-    std::vector<float> send(static_cast<size_t>(count));
-    for (auto& v : send) {
-      v = static_cast<float>(rng.NextGaussian());
-    }
-    std::vector<float> via_ring(static_cast<size_t>(n * count));
-    RingAllGather(ring_group, rank, send.data(), via_ring.data(), count);
-    std::vector<float> direct(static_cast<size_t>(n * count));
-    direct_group.AllGather(rank, send.data(), direct.data(), count);
-    ok[static_cast<size_t>(rank)] = via_ring == direct;
-  });
-  for (int rank = 0; rank < n; ++rank) {
-    EXPECT_TRUE(ok[static_cast<size_t>(rank)]) << rank;
-  }
-}
-
-TEST_P(RingAlgorithmTest, ReduceScatterMatchesDirect) {
-  const int n = GetParam();
-  const int64_t count = 4;
-  CollectiveGroup ring_group(n);
-  CollectiveGroup direct_group(n);
-  std::vector<double> max_err(static_cast<size_t>(n), 0.0);
-  RunOnRanks(n, [&](int rank) {
-    Rng rng(static_cast<uint64_t>(rank) + 9);
-    std::vector<float> send(static_cast<size_t>(n * count));
-    for (auto& v : send) {
-      v = static_cast<float>(rng.NextGaussian());
-    }
-    std::vector<float> via_ring(static_cast<size_t>(count));
-    RingReduceScatter(ring_group, rank, send.data(), via_ring.data(), count);
-    std::vector<float> direct(static_cast<size_t>(count));
-    direct_group.ReduceScatter(rank, send.data(), direct.data(), count);
-    double err = 0.0;
-    for (int64_t i = 0; i < count; ++i) {
-      err = std::max(err, static_cast<double>(std::fabs(
-                              via_ring[static_cast<size_t>(i)] -
-                              direct[static_cast<size_t>(i)])));
-    }
-    max_err[static_cast<size_t>(rank)] = err;
-  });
-  for (int rank = 0; rank < n; ++rank) {
-    // Ring accumulation order differs from the direct sum: tiny float skew.
-    EXPECT_LT(max_err[static_cast<size_t>(rank)], 1e-5) << rank;
-  }
-}
-
-TEST_P(RingAlgorithmTest, AllReduceMatchesDirect) {
-  const int n = GetParam();
-  const int64_t chunk = 3;
-  const int64_t total = n * chunk;
-  CollectiveGroup ring_group(n);
-  CollectiveGroup direct_group(n);
-  std::vector<double> max_err(static_cast<size_t>(n), 0.0);
-  RunOnRanks(n, [&](int rank) {
-    Rng rng(static_cast<uint64_t>(rank) + 21);
-    std::vector<float> data(static_cast<size_t>(total));
-    for (auto& v : data) {
-      v = static_cast<float>(rng.NextGaussian());
-    }
-    std::vector<float> direct(static_cast<size_t>(total));
-    direct_group.AllReduce(rank, data.data(), direct.data(), total);
-    RingAllReduce(ring_group, rank, data.data(), chunk);
-    double err = 0.0;
-    for (int64_t i = 0; i < total; ++i) {
-      err = std::max(err, static_cast<double>(std::fabs(
-                              data[static_cast<size_t>(i)] -
-                              direct[static_cast<size_t>(i)])));
-    }
-    max_err[static_cast<size_t>(rank)] = err;
-  });
-  for (int rank = 0; rank < n; ++rank) {
-    EXPECT_LT(max_err[static_cast<size_t>(rank)], 1e-5) << rank;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(GroupSizes, RingAlgorithmTest, ::testing::Values(1, 2, 3, 5, 8));
 
 // --- Chrome trace export ---
 

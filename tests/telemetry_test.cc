@@ -32,10 +32,10 @@ void RunCoreCollectives(Communicator& comm, int64_t count) {
     std::vector<float> gathered(static_cast<size_t>(n * count));
     std::vector<float> reduced(static_cast<size_t>(count));
     std::vector<float> recv(static_cast<size_t>(n * count));
-    comm.AllGather(rank, send.data(), gathered.data(), count);
-    comm.ReduceScatter(rank, send.data(), reduced.data(), count);
-    comm.AllReduce(rank, send.data(), recv.data(), count);
-    comm.AllToAll(rank, send.data(), recv.data(), count);
+    EXPECT_TRUE(comm.AllGather(rank, send.data(), gathered.data(), count).ok());
+    EXPECT_TRUE(comm.ReduceScatter(rank, send.data(), reduced.data(), count).ok());
+    EXPECT_TRUE(comm.AllReduce(rank, send.data(), recv.data(), count).ok());
+    EXPECT_TRUE(comm.AllToAll(rank, send.data(), recv.data(), count).ok());
   });
 }
 
@@ -139,7 +139,9 @@ TEST(CommTelemetryTest, AllToAllVRecordsTotalOffRankVolume) {
     std::vector<int64_t> send(static_cast<size_t>(total_send), rank);
     std::vector<int64_t> recv(64);
     std::vector<int64_t> recv_counts;
-    comm.AllToAllV(rank, send.data(), send_counts, recv.data(), &recv_counts);
+    EXPECT_TRUE(comm.AllToAllV(rank, send.data(), send_counts, recv.data(),
+                               static_cast<int64_t>(recv.size()), &recv_counts)
+                    .ok());
   });
 
   // Off-rank elements: sum over src != dst of (src + dst) = 12; 8 bytes each.
@@ -175,8 +177,8 @@ TEST(CommTelemetryTest, HierarchicalBackendMatchesFlatResultWithA1Volume) {
       send[static_cast<size_t>(i)] = static_cast<float>((rank + 1) * (i + 1));
     }
     std::vector<float> a(static_cast<size_t>(count)), b(static_cast<size_t>(count));
-    flat.AllReduce(rank, send.data(), a.data(), count);
-    hier.AllReduce(rank, send.data(), b.data(), count);
+    EXPECT_TRUE(flat.AllReduce(rank, send.data(), a.data(), count).ok());
+    EXPECT_TRUE(hier.AllReduce(rank, send.data(), b.data(), count).ok());
     flat_out[static_cast<size_t>(rank)] = std::move(a);
     hier_out[static_cast<size_t>(rank)] = std::move(b);
   });
@@ -211,12 +213,13 @@ TEST(CommTelemetryTest, MakeCommunicatorSelectsBackend) {
   EXPECT_NE(dynamic_cast<HierarchicalCommunicator*>(hier.get()), nullptr);
   EXPECT_EQ(hier->size(), 4);
   // Degenerate shapes (one node, or no node size given) fall back to flat.
-  EXPECT_NE(dynamic_cast<FlatCommunicator*>(
-                MakeCommunicator(CommBackend::kHierarchical, 4).get()),
-            nullptr);
-  EXPECT_NE(dynamic_cast<FlatCommunicator*>(
-                MakeCommunicator(CommBackend::kHierarchical, 4, 4).get()),
-            nullptr);
+  // HierarchicalCommunicator derives from FlatCommunicator, so the flat
+  // fallback is checked as "not hierarchical".
+  for (int gpus_per_node : {0, 4}) {
+    auto degenerate = MakeCommunicator(CommBackend::kHierarchical, 4, gpus_per_node);
+    EXPECT_NE(dynamic_cast<FlatCommunicator*>(degenerate.get()), nullptr);
+    EXPECT_EQ(dynamic_cast<HierarchicalCommunicator*>(degenerate.get()), nullptr);
+  }
 }
 
 TEST(CommTelemetryTest, ChunkedOpsAggregateToMonolithicAccounting) {
@@ -260,7 +263,7 @@ TEST(CommTelemetryTest, CapacityBoundsEventGrowth) {
   RunOnRanks(2, [&](int rank) {
     std::vector<float> send(8, 1.0f), recv(8);
     for (int i = 0; i < 4; ++i) {
-      comm.AllReduce(rank, send.data(), recv.data(), 4);
+      EXPECT_TRUE(comm.AllReduce(rank, send.data(), recv.data(), 4).ok());
     }
   });
   EXPECT_EQ(comm.telemetry().event_count(), 4u);

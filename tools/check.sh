@@ -15,7 +15,8 @@
 # distributed_lm_test runs the pipelined EP forward and backward inside the
 # full multi-layer SP+EP LM chain);
 # fault_test and the recovery bench under ASan cover the checkpoint IO and
-# buffer-corruption paths, and parallel_test / property_test /
+# buffer-corruption paths, comm_test under ASan and UBSan covers every
+# collective's buffer copies, and parallel_test / property_test /
 # macro_layer_test / distributed_lm_test under ASan cover the
 # Workspace-staged dispatch packing and the per-chunk expert staging;
 # parallel_test / property_test / fault_test / macro_layer_test /
@@ -76,12 +77,13 @@ cmake --build build-tsan -j --target tensor_test comm_test kernel_test parallel_
 (cd build-tsan/bench && ./bench_fault_recovery >/dev/null)
 
 echo
-echo "== ASan: tensor_test + fault_test + elastic_test + parallel_test + property_test + macro_layer_test + distributed_lm_test + obs_test + checkpoint/recovery paths =="
+echo "== ASan: tensor_test + comm_test + fault_test + elastic_test + parallel_test + property_test + macro_layer_test + distributed_lm_test + obs_test + checkpoint/recovery paths =="
 cmake -B build-asan -S . -DMSMOE_SANITIZE=address >/dev/null
-cmake --build build-asan -j --target tensor_test fault_test elastic_test model_test \
+cmake --build build-asan -j --target tensor_test comm_test fault_test elastic_test model_test \
   trainer_test fused_ops_test parallel_test property_test macro_layer_test \
   distributed_lm_test obs_test >/dev/null
 ./build-asan/tests/tensor_test
+./build-asan/tests/comm_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/elastic_test
 ./build-asan/tests/model_test
@@ -94,10 +96,11 @@ cmake --build build-asan -j --target tensor_test fault_test elastic_test model_t
 ./build-asan/tests/obs_test
 
 echo
-echo "== UBSan: parallel_test + property_test + fault_test + macro_layer_test + distributed_lm_test + numerics_test + trainer_test =="
+echo "== UBSan: comm_test + parallel_test + property_test + fault_test + macro_layer_test + distributed_lm_test + numerics_test + trainer_test =="
 cmake -B build-ubsan -S . -DMSMOE_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j --target parallel_test property_test fault_test \
+cmake --build build-ubsan -j --target comm_test parallel_test property_test fault_test \
   macro_layer_test distributed_lm_test numerics_test trainer_test >/dev/null
+./build-ubsan/tests/comm_test
 ./build-ubsan/tests/parallel_test
 ./build-ubsan/tests/property_test
 ./build-ubsan/tests/fault_test
