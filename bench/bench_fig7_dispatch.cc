@@ -153,14 +153,14 @@ MeasuredReport RunMeasured() {
   std::vector<Tensor> y_pipelined(kRanks);
   std::vector<EpFfnCache> caches(kRanks);  // reused: steady-state pool hits
 
-  const EpPipelineConfig saved = GetEpPipelineConfig();
+  EpPipelineConfig pipe;  // num_chunks is set per measurement below
   auto run_step = [&](std::vector<Tensor>* out) {
     RunOnRanks(kRanks, [&](int rank) {
       ShardContext ctx{&comm, rank};
       (*out)[static_cast<size_t>(rank)] = EpFfnForward(
           ctx, model, EpDispatchMode::kAllToAll, w1, w3, w2,
           x_locals[static_cast<size_t>(rank)], routings[static_cast<size_t>(rank)],
-          &caches[static_cast<size_t>(rank)]);
+          &caches[static_cast<size_t>(rank)], pipe);
     });
   };
   // Backward of the last forward step (the caches carry its chunk count).
@@ -174,19 +174,13 @@ MeasuredReport RunMeasured() {
                                 dy_locals[r], routings[r], caches[r]);
     });
   };
-  auto set_chunks = [&](int chunks) {
-    EpPipelineConfig pipe;
-    pipe.num_chunks = chunks;
-    SetEpPipelineConfig(pipe);
-  };
-
   MeasuredReport report;
 
   // Calibrate the emulated wire so one step's total all-to-all traffic
   // costs about one compute phase (comm ~= comp): measure a one-chunk step
   // with the wire model off, read the step's wire bytes off the
   // communicator, and size bytes/us so that volume takes that long.
-  set_chunks(1);
+  pipe.num_chunks = 1;
   report.comp_stats = TimedStatsOfN(kWarmup, kReps, [&] { run_step(&y_c1); });
   const double comp_s = report.comp_stats.median_s;
   report.comp_ms = comp_s * 1e3;
@@ -201,7 +195,7 @@ MeasuredReport RunMeasured() {
   const int default_workers = ParallelWorkerCount();
   for (int workers : {1, 2}) {
     SetParallelWorkerCount(workers);
-    set_chunks(1);
+    pipe.num_chunks = 1;
     const TimingStats c1_stats = TimedStatsOfN(kWarmup, kReps, [&] { run_step(&y_c1); });
     const TimingStats c1_bwd_stats =
         TimedStatsOfN(kWarmup, kReps, [&] { run_backward(&g_c1); });
@@ -211,7 +205,7 @@ MeasuredReport RunMeasured() {
       point.chunks = chunks;
       point.c1_stats = c1_stats;
       point.c1_ms = c1_stats.median_s * 1e3;
-      set_chunks(chunks);
+      pipe.num_chunks = chunks;
       point.pipelined_stats =
           TimedStatsOfN(kWarmup, kReps, [&] { run_step(&y_pipelined); });
       point.pipelined_ms = point.pipelined_stats.median_s * 1e3;
@@ -237,7 +231,7 @@ MeasuredReport RunMeasured() {
 
   // Zero-alloc gate: after warmup, steady-state pipelined steps must be
   // all pool hits — no fresh heap allocations in the dispatch path.
-  set_chunks(4);
+  pipe.num_chunks = 4;
   for (int i = 0; i < 3; ++i) {
     run_step(&y_pipelined);
   }
@@ -246,8 +240,6 @@ MeasuredReport RunMeasured() {
     run_step(&y_pipelined);
   }
   report.steady_heap_allocs = GetMemStats().heap_allocs - allocs_before;
-
-  SetEpPipelineConfig(saved);
   return report;
 }
 

@@ -18,38 +18,45 @@ namespace {
 
 constexpr int kMaxWorkers = 64;
 
-int DefaultWorkerCount() {
+// MSMOE_NUM_THREADS clamped to [1, 64], or 0 when it is unset or invalid.
+int EnvWorkerCap() {
   if (const char* env = std::getenv("MSMOE_NUM_THREADS")) {
     const int parsed = std::atoi(env);
     if (parsed > 0) {
       return std::min(parsed, kMaxWorkers);
     }
   }
-  const unsigned hc = std::thread::hardware_concurrency();
-  if (hc == 0) {
-    return 1;
-  }
-  // Without an explicit knob stay modest: oversubscribing every rank thread
-  // by the full machine width multiplies thread counts (ranks x workers).
-  return static_cast<int>(std::min(hc, 16u));
+  return 0;
 }
 
-// 0 = "not overridden yet": fall back to DefaultWorkerCount().
+// The machine budget an unset cap shares out: hardware_concurrency clamped
+// to 16, so a default run stays at about one compute thread per core.
+int MachineWorkers() {
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc == 0 ? 1 : static_cast<int>(std::min(hc, 16u));
+}
+
+// 0 = "not overridden yet": fall back to MSMOE_NUM_THREADS, then to the
+// machine budget divided across the calling thread's run.
 std::atomic<int> g_worker_cap{0};
 
 thread_local bool tls_in_parallel_shard = false;
+thread_local int tls_rank_share = 1;  // ranks of the run this thread serves
 
-// Persistent pool. Threads are spawned on first demand and live until the
-// process exits (the function-local static's destructor joins them).
+// One calling thread's workers. Threads are spawned on first demand (only
+// the owner calls EnsureWorkers) and joined when the owner thread exits.
 class WorkerPool {
  public:
-  static WorkerPool& Get() {
-    static WorkerPool pool;
+  static WorkerPool& ForThisThread() {
+    thread_local WorkerPool pool;
     return pool;
   }
 
+  WorkerPool() = default;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+
   void EnsureWorkers(int count) {
-    std::lock_guard<std::mutex> lock(mu_);
     while (static_cast<int>(threads_.size()) < count) {
       threads_.emplace_back([this] { WorkerLoop(); });
     }
@@ -95,8 +102,8 @@ class WorkerPool {
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> threads_;
   bool shutdown_ = false;
+  std::vector<std::thread> threads_;  // owner thread only
 };
 
 // Completion state of one ParallelFor call, shared by its shards.
@@ -128,8 +135,12 @@ int ParallelWorkerCount() {
   if (cap > 0) {
     return cap;
   }
-  static const int default_count = DefaultWorkerCount();
-  return default_count;
+  static const int env_cap = EnvWorkerCap();
+  if (env_cap > 0) {
+    return env_cap;
+  }
+  static const int machine = MachineWorkers();
+  return std::max(1, machine / tls_rank_share);
 }
 
 void SetParallelWorkerCount(int count) {
@@ -137,6 +148,12 @@ void SetParallelWorkerCount(int count) {
 }
 
 bool InParallelWorker() { return tls_in_parallel_shard; }
+
+ScopedRankThread::ScopedRankThread(int ranks) : previous_(tls_rank_share) {
+  tls_rank_share = std::max(ranks, 1);
+}
+
+ScopedRankThread::~ScopedRankThread() { tls_rank_share = previous_; }
 
 void ParallelFor(int64_t n, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn) {
@@ -165,7 +182,7 @@ void ParallelFor(int64_t n, int64_t grain,
     registry.Add(shards_id, static_cast<double>(shards));
   }
 
-  WorkerPool& pool = WorkerPool::Get();
+  WorkerPool& pool = WorkerPool::ForThisThread();
   pool.EnsureWorkers(shards - 1);
   ForkState state;
   state.remaining = shards - 1;

@@ -5,6 +5,8 @@
 #include <deque>
 #include <string>
 
+#include "src/base/parallel_for.h"
+
 namespace msmoe {
 namespace {
 
@@ -178,9 +180,12 @@ PooledThread::PooledThread() : state_(std::make_shared<State>()) {
         state->cv.wait(lock,
                        [&state] { return !state->queue.empty() || state->shutdown; });
         if (state->queue.empty()) {
+          // Back on the free list before the destructor can return, so the
+          // next acquire reuses this thread instead of spawning a cold one.
+          pool.ReleaseWorker(worker);
           state->exited = true;
           state->cv_idle.notify_all();
-          break;
+          return;
         }
         task = std::move(state->queue.front());
         state->queue.pop_front();
@@ -188,7 +193,6 @@ PooledThread::PooledThread() : state_(std::make_shared<State>()) {
       }
       task();
     }
-    pool.ReleaseWorker(worker);
   });
 }
 
@@ -438,11 +442,12 @@ Status RunOnRanksStatus(int world_size, const std::function<void(int)>& fn,
       abort_group->Abort(std::move(failure));
     }
   };
-  RankThreadPool::Get().Run(world_size, [&fn, &report](int rank) {
+  RankThreadPool::Get().Run(world_size, [&fn, &report, world_size](int rank) {
     // CHECK failures on a rank thread throw (instead of abort) so they can
-    // cancel the group and surface on the calling thread. The scope is
-    // per-task: the persistent pool thread leaves it before going idle.
+    // cancel the group and surface on the calling thread. The scopes are
+    // per-task: the persistent pool thread leaves them before going idle.
     ScopedThrowOnFatal throw_on_fatal;
+    const ScopedRankThread rank_thread(world_size);
     try {
       fn(rank);
     } catch (const std::exception& e) {

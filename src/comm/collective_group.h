@@ -429,12 +429,14 @@ class PooledThread {
 // live thread is dedicated per rank for the whole call — ranks block inside
 // collective barriers and can never be queued), so trainer loops issuing a
 // RunOnRanks per step reuse the same threads instead of paying a
-// spawn/join per call. A rank failure (thrown exception, or MSMOE_CHECK
-// failure — converted to an exception for the rank threads) is re-raised as
-// a CHECK failure on the calling thread after all ranks finished. NOTE:
-// without an abort_group, a rank that fails while its peers wait inside a
-// collective leaves those peers blocked — use RunOnRanksStatus with the
-// group for fault-prone code.
+// spawn/join per call. Each rank thread runs its ParallelFor shards on its
+// own workers; with no worker cap set it gets max(1, budget / world_size)
+// of them (src/base/parallel_for.h). A rank failure (thrown exception, or
+// MSMOE_CHECK failure — converted to an exception for the rank threads) is
+// re-raised as a CHECK failure on the calling thread after all ranks
+// finished. NOTE: without an abort_group, a rank that fails while its peers
+// wait inside a collective leaves those peers blocked — use
+// RunOnRanksStatus with the group for fault-prone code.
 void RunOnRanks(int world_size, const std::function<void(int)>& fn);
 
 // As RunOnRanks, but the first rank failure (1) immediately cancels

@@ -20,15 +20,6 @@ const char* GradSyncModeName(GradSyncMode mode) {
   return "unknown";
 }
 
-std::vector<float> SyncGradShard(Communicator& comm, int rank, const float* grads,
-                                 int64_t count, GradSyncMode mode) {
-  const int n = comm.size();
-  MSMOE_CHECK_EQ(count % n, 0);
-  std::vector<float> out(static_cast<size_t>(count / n));
-  SyncGradShardInto(comm, rank, grads, count, mode, out.data());
-  return out;
-}
-
 namespace {
 
 // SyncGradShardInto's body, returning the status of its collective so

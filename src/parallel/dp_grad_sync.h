@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/comm/communicator.h"
 
@@ -48,15 +47,10 @@ inline int64_t PaddedGradCount(int64_t total_elems, int n) {
 }
 
 // Reduces `grads` (count floats, identical layout on every rank) across the
-// group; returns this rank's shard (count / n floats, count must divide).
-// The reduction is a plain sum (callers average by pre-scaling).
-std::vector<float> SyncGradShard(Communicator& comm, int rank, const float* grads,
-                                 int64_t count, GradSyncMode mode);
-
-// Allocation-free variant for the hot step loop: writes the shard into
-// `shard_out` (count / n floats, caller-owned) and stages the BF16 wire
-// copies in the calling thread's workspace, so a steady-state step acquires
-// no fresh memory.
+// group and writes this rank's shard into `shard_out` (count / n floats,
+// caller-owned; count must divide). The reduction is a plain sum (callers
+// average by pre-scaling). The BF16 wire copies are staged in the calling
+// thread's workspace, so a steady-state step acquires no fresh memory.
 void SyncGradShardInto(Communicator& comm, int rank, const float* grads, int64_t count,
                        GradSyncMode mode, float* shard_out);
 

@@ -26,8 +26,6 @@
 namespace msmoe {
 namespace {
 
-EpPipelineConfig g_pipeline_config;
-
 // Same expression as SwiGlu in tensor_ops.cc — the pipeline applies it per
 // expert row range and must stay bitwise identical to the whole-tensor call
 // the rematerialization and the single-rank reference make.
@@ -516,7 +514,8 @@ void AddReturnChain(ExecGraph* graph, const EpFfnCache& cache,
 // The fused kAllToAll forward (§4.2, Fig 7). Chunks partition the local
 // token range in ascending order, so every per-destination send order, the
 // grouped receive order and each token's combine accumulation order are the
-// same for every chunk count — only the schedule changes.
+// same for every chunk count — only the schedule changes. `pipe` arrives
+// clamped by EpFfnForward.
 Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
                            const EpPipelineConfig& pipe, const LocalExperts& w,
                            const Tensor& x_local, const RoutingResult& routing,
@@ -526,13 +525,12 @@ Tensor PipelinedForwardA2A(const ShardContext& ctx, const ModelConfig& config,
   const int64_t h = config.hidden;
   const int64_t t_local = x_local.dim(0);
   const int64_t k = routing.top_k;
-  const int C = std::max(1, std::min(pipe.num_chunks, 64));
+  const int C = pipe.num_chunks;
   const double start_us = ctx.comm->telemetry().NowUs();
 
   cache->pipeline_chunks = C;
   cache->fp8_wire = pipe.fp8_dispatch;
   cache->wire_quant = pipe.quant;
-  cache->wire_quant.granularity = QuantGranularity::kPerToken;
 
   // --- Counting-sort permutation: one O(T·k) counting pass plus one
   // cursor pass build the send tables. Send order is (chunk, dst, token
@@ -1189,27 +1187,22 @@ const char* EpDispatchModeName(EpDispatchMode mode) {
   return "unknown";
 }
 
-EpPipelineConfig GetEpPipelineConfig() { return g_pipeline_config; }
-
-void SetEpPipelineConfig(EpPipelineConfig config) {
-  config.num_chunks = std::max(1, std::min(config.num_chunks, 64));
-  config.quant.granularity = QuantGranularity::kPerToken;
-  g_pipeline_config = config;
-}
-
 Tensor EpFfnForward(const ShardContext& ctx, const ModelConfig& config, EpDispatchMode mode,
                     const std::vector<Tensor>& w1, const std::vector<Tensor>& w3,
                     const std::vector<Tensor>& w2, const Tensor& x_local,
-                    const RoutingResult& routing_local, EpFfnCache* cache) {
+                    const RoutingResult& routing_local, EpFfnCache* cache,
+                    const EpPipelineConfig& pipe) {
   const int n = ctx.size();
   MSMOE_CHECK_EQ(config.num_experts % n, 0);
   MSMOE_CHECK_EQ(routing_local.tokens, x_local.dim(0));
   const LocalExperts w = LocalWeights(ctx, config.num_experts / n, w1, w3, w2);
-  const EpPipelineConfig pipe = GetEpPipelineConfig();
+  EpPipelineConfig clamped = pipe;
+  clamped.num_chunks = std::clamp(pipe.num_chunks, 1, 64);
+  clamped.quant.granularity = QuantGranularity::kPerToken;
   if (mode == EpDispatchMode::kAllToAll) {
-    return PipelinedForwardA2A(ctx, config, pipe, w, x_local, routing_local, cache);
+    return PipelinedForwardA2A(ctx, config, clamped, w, x_local, routing_local, cache);
   }
-  return PipelinedForwardAG(ctx, config, pipe.num_chunks, w, x_local, routing_local, cache);
+  return PipelinedForwardAG(ctx, config, clamped.num_chunks, w, x_local, routing_local, cache);
 }
 
 EpFfnGrads EpFfnBackward(const ShardContext& ctx, const ModelConfig& config,

@@ -19,7 +19,7 @@
 // the wire runs as chunked async collectives recorded on one two-stream
 // ExecGraph per direction, and each chunk's expert GEMMs run as soon as its
 // rows land, hiding the rest of the wire. Chunks partition the LOCAL token
-// range in ascending order (EpPipelineConfig::num_chunks of them).
+// range in ascending order (EpPipelineConfig::num_chunks of them, per call).
 //
 //   kAllToAll: a counting-sort permutation built in one O(T·k) pass feeds
 //     per-chunk StartAllToAllV handles, so packing (optionally FP8
@@ -71,25 +71,24 @@ enum class EpDispatchMode {
 
 const char* EpDispatchModeName(EpDispatchMode mode);
 
-// Process-wide configuration of the fused EP pipelines. Set it before
-// entering the ranks (RunOnRanks); every rank must see the same values —
-// the chunk count shapes the collective sequence of both dispatch modes.
-// num_chunks is clamped to [1, 64] (and, in kAllGatherScatter mode, to the
-// local token count). fp8_dispatch (kAllToAll only) quantizes the forward
-// dispatch wire (activations) per token, fusing QuantizeInto into the
-// pack; the combine and backward wires stay FP32 (the reference the FP8
-// path is tested against applies the same per-row round trip).
-// quant.granularity is forced to kPerToken — the only granularity whose
-// scales are per-row and therefore identical whether rows are quantized
-// packed or in place.
+// Configuration of the fused EP pipelines, passed to each EpFfnForward call
+// (ParallelMoeLayerOptions::pipeline for the layer). Every rank of a group
+// must pass the same values: the chunk count shapes the collective sequence
+// of both dispatch modes. EpFfnForward clamps num_chunks to [1, 64] (and, in
+// kAllGatherScatter mode, to the local token count) and records the clamped
+// chunk count and wire format in EpFfnCache; the backward and the
+// rematerialization read them from there. fp8_dispatch (kAllToAll only)
+// quantizes the forward dispatch wire (activations) per token, fusing
+// QuantizeInto into the pack; the combine and backward wires stay FP32 (the
+// reference the FP8 path is tested against applies the same per-row round
+// trip). quant.granularity is forced to kPerToken — the only granularity
+// whose scales are per-row and therefore identical whether rows are
+// quantized packed or in place.
 struct EpPipelineConfig {
   int num_chunks = 4;
   bool fp8_dispatch = false;
   QuantConfig quant;
 };
-
-EpPipelineConfig GetEpPipelineConfig();
-void SetEpPipelineConfig(EpPipelineConfig config);
 
 struct EpFfnCache {
   // Expert computation inputs/outputs, rows grouped by local expert.
@@ -132,7 +131,8 @@ struct EpFfnCache {
 Tensor EpFfnForward(const ShardContext& ctx, const ModelConfig& config, EpDispatchMode mode,
                     const std::vector<Tensor>& w1, const std::vector<Tensor>& w3,
                     const std::vector<Tensor>& w2, const Tensor& x_local,
-                    const RoutingResult& routing_local, EpFfnCache* cache);
+                    const RoutingResult& routing_local, EpFfnCache* cache,
+                    const EpPipelineConfig& pipe = {});
 
 struct EpFfnGrads {
   Tensor dx_local;       // [t_local, h]

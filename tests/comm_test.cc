@@ -501,6 +501,22 @@ TEST(RunOnRanksTest, RankFailureStillReleasesThreadsForReuse) {
   EXPECT_EQ(visits.load(), n);
 }
 
+// A PooledThread's thread is back on the free list before its destructor
+// returns, so the next acquire reuses it (LIFO) instead of spawning a cold
+// thread whose workspace and ParallelFor workers start empty.
+TEST(RunOnRanksTest, PooledThreadIsFreeOnceItsDestructorReturns) {
+  for (int iter = 0; iter < 500; ++iter) {
+    std::thread::id proxy;
+    {
+      PooledThread thread;
+      thread.Submit([&proxy] { proxy = std::this_thread::get_id(); });
+    }
+    std::thread::id rank;
+    RunOnRanks(1, [&rank](int) { rank = std::this_thread::get_id(); });
+    ASSERT_EQ(rank, proxy) << "iteration " << iter;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Nonblocking chunked collectives (async_comm.h / Communicator::Start*).
 

@@ -467,10 +467,8 @@ TEST(EpPipelineFaultTest, CrashDuringDxReturnAbortsEveryRankThenRerunsBitwise) {
   router.num_experts = config.num_experts;
   router.top_k = config.top_k;
 
-  const EpPipelineConfig saved = GetEpPipelineConfig();
   EpPipelineConfig pc;
   pc.num_chunks = chunks;
-  SetEpPipelineConfig(pc);
   FlatCommunicator comm(n);
   comm.SetCollectiveTimeout(10000.0);  // backstop: never a hang
   std::vector<RoutingResult> routings(static_cast<size_t>(n));
@@ -489,7 +487,7 @@ TEST(EpPipelineFaultTest, CrashDuringDxReturnAbortsEveryRankThenRerunsBitwise) {
     Tensor x_local = x_full.SliceRows(rank * t_local, (rank + 1) * t_local);
     routings[r] = RouteTokens(MatMul(x_local, w_gate), router);
     EpFfnForward(ctx, config, EpDispatchMode::kAllToAll, w1, w3, w2, x_local, routings[r],
-                 &caches[r]);
+                 &caches[r], pc);
     clean[r] = backward(rank);
   });
 
@@ -509,7 +507,6 @@ TEST(EpPipelineFaultTest, CrashDuringDxReturnAbortsEveryRankThenRerunsBitwise) {
   });
   EXPECT_LT(ElapsedMs(start), 60000.0);
   comm.set_fault_plan(nullptr);
-  SetEpPipelineConfig(saved);
 
   EXPECT_EQ(plan.crashes_fired(), 1);
   EXPECT_TRUE(comm.GroupStatus().ok());
@@ -607,10 +604,8 @@ TEST(EpPipelineFaultTest, CrashAtAllGatherModeReduceScatterStartRerunsBitwise) {
   router.num_experts = config.num_experts;
   router.top_k = config.top_k;
 
-  const EpPipelineConfig saved = GetEpPipelineConfig();
   EpPipelineConfig pc;
   pc.num_chunks = 4;
-  SetEpPipelineConfig(pc);
   for (const bool in_backward : {false, true}) {
     SCOPED_TRACE(in_backward ? "crash at the dx reduce-scatter Start"
                              : "crash at the forward reduce-scatter Start");
@@ -622,7 +617,7 @@ TEST(EpPipelineFaultTest, CrashAtAllGatherModeReduceScatterStartRerunsBitwise) {
       ShardContext ctx{&comm, rank};
       return EpFfnForward(ctx, config, mode, w1, w3, w2,
                           x_full.SliceRows(rank * t_local, (rank + 1) * t_local),
-                          routings[static_cast<size_t>(rank)], cache);
+                          routings[static_cast<size_t>(rank)], cache, pc);
     };
     const auto backward = [&](int rank, const EpFfnCache& cache) {
       ShardContext ctx{&comm, rank};
@@ -679,7 +674,6 @@ TEST(EpPipelineFaultTest, CrashAtAllGatherModeReduceScatterStartRerunsBitwise) {
       }
     }
   }
-  SetEpPipelineConfig(saved);
 }
 
 // --- Straggler detection ----------------------------------------------------

@@ -8,19 +8,28 @@
 //     fault replay rely on)
 //   - ParallelFor edge cases: empty ranges, nesting, exception propagation,
 //     concurrent callers
+//   - per-rank workers: each RunOnRanks rank thread runs its shards on its
+//     own workers, and an unset cap is divided across the ranks
 //   - KernelStats counters
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "src/base/parallel_for.h"
 #include "src/base/rng.h"
+#include "src/comm/collective_group.h"
 #include "src/model/grouped_gemm.h"
 #include "src/tensor/gemm_kernel.h"
 #include "src/tensor/tensor.h"
@@ -287,6 +296,64 @@ TEST(ParallelForTest, ConcurrentCallersEachCoverTheirRange) {
   for (int t = 0; t < kCallers; ++t) {
     EXPECT_EQ(totals[static_cast<size_t>(t)], 20 * 100) << "caller " << t;
   }
+}
+
+// Every rank thread runs its shards on its own workers: at cap 2 each rank's
+// two-shard calls run on exactly two threads (itself and its one worker),
+// and no thread runs shards for both ranks.
+TEST(ParallelForTest, RankThreadsRunShardsOnTheirOwnWorkers) {
+  const int restore = ParallelWorkerCount();
+  SetParallelWorkerCount(2);
+  constexpr int kRanks = 2;
+  std::vector<std::set<std::thread::id>> ran_on(kRanks);
+  RunOnRanks(kRanks, [&](int rank) {
+    std::set<std::thread::id>& ids = ran_on[static_cast<size_t>(rank)];
+    std::mutex mu;
+    for (int iter = 0; iter < 50; ++iter) {
+      ParallelFor(2, 1, [&](int64_t, int64_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+      });
+    }
+  });
+  SetParallelWorkerCount(restore);
+  for (int rank = 0; rank < kRanks; ++rank) {
+    EXPECT_EQ(ran_on[static_cast<size_t>(rank)].size(), 2u) << "rank " << rank;
+  }
+  std::vector<std::thread::id> shared;
+  std::set_intersection(ran_on[0].begin(), ran_on[0].end(), ran_on[1].begin(),
+                        ran_on[1].end(), std::back_inserter(shared));
+  EXPECT_TRUE(shared.empty()) << shared.size() << " thread(s) ran shards for both ranks";
+}
+
+// With no cap set, a rank thread of an R-rank run gets max(1, budget / R)
+// workers, where the budget is hardware_concurrency clamped to 16. It runs
+// in a re-executed child process, so no earlier test has set the cap.
+TEST(ParallelForDeathTest, UnsetCapIsDividedAcrossRanks) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        unsetenv("MSMOE_NUM_THREADS");
+        const unsigned hc = std::thread::hardware_concurrency();
+        const int budget = hc == 0 ? 1 : static_cast<int>(std::min(hc, 16u));
+        bool ok = ParallelWorkerCount() == budget;
+        for (int ranks : {1, 2, 3, 32}) {
+          std::vector<int> seen(static_cast<size_t>(ranks), 0);
+          RunOnRanks(ranks, [&](int rank) {
+            seen[static_cast<size_t>(rank)] = ParallelWorkerCount();
+          });
+          for (int count : seen) {
+            if (count != std::max(1, budget / ranks)) {
+              std::fprintf(stderr, "%d ranks: a rank saw cap %d, budget %d\n", ranks, count,
+                           budget);
+              ok = false;
+            }
+          }
+        }
+        ok = ok && ParallelWorkerCount() == budget;  // the caller keeps the whole budget
+        std::exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(KernelStatsTest, CountsGemmAndGroupedGemm) {

@@ -335,13 +335,11 @@ TEST_F(FfnParallelTest, PipelinedFp8DispatchMatchesRoundTripReference) {
   const RefFfnResult ref =
       ReferenceFfn(config_, w1_, w3_, w2_, x_q, routing_full_, dy_full_);
 
-  const EpPipelineConfig saved = GetEpPipelineConfig();
   for (int chunks : {1, 3}) {
     EpPipelineConfig pc;
     pc.num_chunks = chunks;
     pc.fp8_dispatch = true;
     pc.quant = quant;
-    SetEpPipelineConfig(pc);
     FlatCommunicator group(n);
     std::vector<Tensor> y_fp8(n);
     RunOnRanks(n, [&](int rank) {
@@ -351,7 +349,7 @@ TEST_F(FfnParallelTest, PipelinedFp8DispatchMatchesRoundTripReference) {
       EpFfnCache cache;
       y_fp8[static_cast<size_t>(rank)] =
           EpFfnForward(ctx, config_, EpDispatchMode::kAllToAll, w1_, w3_, w2_,
-                       x_local, routing, &cache);
+                       x_local, routing, &cache, pc);
     });
     for (int rank = 0; rank < n; ++rank) {
       const Tensor& a = y_fp8[static_cast<size_t>(rank)];
@@ -363,7 +361,6 @@ TEST_F(FfnParallelTest, PipelinedFp8DispatchMatchesRoundTripReference) {
           << "chunks=" << chunks << " rank=" << rank;
     }
   }
-  SetEpPipelineConfig(saved);
 }
 
 TEST_F(FfnParallelTest, TpFfnMatchesSingleRank) {
@@ -503,10 +500,8 @@ TEST_P(FfnParallelTest, PipelinedEpRecordsExpertGemmFlops) {
     }
   }
   ASSERT_GT(kept, 0);
-  const EpPipelineConfig saved = GetEpPipelineConfig();
   EpPipelineConfig pc;
   pc.num_chunks = 4;
-  SetEpPipelineConfig(pc);
   FlatCommunicator group(n);
   const KernelStatsSnapshot before = GetKernelStats();
   RunOnRanks(n, [&](int rank) {
@@ -515,11 +510,10 @@ TEST_P(FfnParallelTest, PipelinedEpRecordsExpertGemmFlops) {
     Tensor x_local = x_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
     Tensor dy_local = dy_full_.SliceRows(rank * t_local, (rank + 1) * t_local);
     EpFfnCache cache;
-    EpFfnForward(ctx, config_, mode, w1_, w3_, w2_, x_local, routing, &cache);
+    EpFfnForward(ctx, config_, mode, w1_, w3_, w2_, x_local, routing, &cache, pc);
     EpFfnBackward(ctx, config_, mode, w1_, w3_, w2_, dy_local, routing, cache);
   });
   const KernelStatsSnapshot after = GetKernelStats();
-  SetEpPipelineConfig(saved);
   const double per_copy = static_cast<double>(h * f);
   EXPECT_DOUBLE_EQ(after.grouped_gemm_flops - before.grouped_gemm_flops,
                    (6.0 + 12.0) * per_copy * static_cast<double>(kept));
@@ -530,17 +524,19 @@ TEST(GradSyncTest, Bf16AllToAllCloseToFp32) {
   const int64_t count = 64;
   FlatCommunicator fp32_group(n);
   FlatCommunicator bf16_group(n);
-  std::vector<std::vector<float>> fp32_out(n), bf16_out(n);
+  std::vector<std::vector<float>> fp32_out(n, std::vector<float>(count / n));
+  std::vector<std::vector<float>> bf16_out(n, std::vector<float>(count / n));
   RunOnRanks(n, [&](int rank) {
     Rng rng(static_cast<uint64_t>(rank) + 11);
     std::vector<float> grads(static_cast<size_t>(count));
     for (auto& g : grads) {
       g = static_cast<float>(rng.NextGaussian());
     }
-    fp32_out[static_cast<size_t>(rank)] = SyncGradShard(
-        fp32_group, rank, grads.data(), count, GradSyncMode::kFp32ReduceScatter);
-    bf16_out[static_cast<size_t>(rank)] =
-        SyncGradShard(bf16_group, rank, grads.data(), count, GradSyncMode::kBf16AllToAll);
+    SyncGradShardInto(fp32_group, rank, grads.data(), count,
+                      GradSyncMode::kFp32ReduceScatter,
+                      fp32_out[static_cast<size_t>(rank)].data());
+    SyncGradShardInto(bf16_group, rank, grads.data(), count, GradSyncMode::kBf16AllToAll,
+                      bf16_out[static_cast<size_t>(rank)].data());
   });
   for (int rank = 0; rank < n; ++rank) {
     for (size_t i = 0; i < fp32_out[rank].size(); ++i) {
@@ -566,12 +562,13 @@ TEST(GradSyncTest, RingBf16WorseThanAllToAllBf16) {
       // Rank 0 holds a big value; everyone else small ones.
       grads[static_cast<size_t>(i)] = rank == 0 ? 256.0f : 0.37f;
     }
-    std::vector<float> exact = SyncGradShard(exact_group, rank, grads.data(), count,
-                                             GradSyncMode::kFp32ReduceScatter);
-    std::vector<float> ring =
-        SyncGradShard(ring_group, rank, grads.data(), count, GradSyncMode::kBf16RingReduce);
-    std::vector<float> a2a =
-        SyncGradShard(a2a_group, rank, grads.data(), count, GradSyncMode::kBf16AllToAll);
+    std::vector<float> exact(count / n), ring(count / n), a2a(count / n);
+    SyncGradShardInto(exact_group, rank, grads.data(), count,
+                      GradSyncMode::kFp32ReduceScatter, exact.data());
+    SyncGradShardInto(ring_group, rank, grads.data(), count, GradSyncMode::kBf16RingReduce,
+                      ring.data());
+    SyncGradShardInto(a2a_group, rank, grads.data(), count, GradSyncMode::kBf16AllToAll,
+                      a2a.data());
     double ring_total = 0.0, a2a_total = 0.0;
     for (size_t i = 0; i < exact.size(); ++i) {
       ring_total += std::fabs(ring[i] - exact[i]);

@@ -612,7 +612,6 @@ TEST_P(EpPipelineSweepTest, PipelineMatchesSingleRankReference) {
       ReferenceFfn(config, w1, w3, w2, x_full, RouteTokens(logits_full, router), dy_full);
 
   const int restore_workers = ParallelWorkerCount();
-  const EpPipelineConfig saved = GetEpPipelineConfig();
 
   // Drops ffn_in, fc2_in and x_all after the forward and rebuilds them
   // with the collective replay before the backward, so the backward result
@@ -621,7 +620,6 @@ TEST_P(EpPipelineSweepTest, PipelineMatchesSingleRankReference) {
     SetParallelWorkerCount(run_workers);
     EpPipelineConfig pc;
     pc.num_chunks = run_chunks;
-    SetEpPipelineConfig(pc);
     FlatCommunicator group(n);
     out->y.resize(static_cast<size_t>(n));
     out->dx.resize(static_cast<size_t>(n));
@@ -638,7 +636,7 @@ TEST_P(EpPipelineSweepTest, PipelineMatchesSingleRankReference) {
       RoutingResult routing = RouteTokens(
           logits_full.SliceRows(rank * t_local, (rank + 1) * t_local), router);
       EpFfnCache cache;
-      out->y[r] = EpFfnForward(ctx, config, mode, w1, w3, w2, x_local, routing, &cache);
+      out->y[r] = EpFfnForward(ctx, config, mode, w1, w3, w2, x_local, routing, &cache, pc);
       cache.ffn_in = Tensor();
       cache.fc2_in = Tensor();
       cache.x_all = Tensor();
@@ -660,7 +658,6 @@ TEST_P(EpPipelineSweepTest, PipelineMatchesSingleRankReference) {
   if (!order_free) {
     run(/*run_workers=*/1, /*run_chunks=*/1, &anchor);
   }
-  SetEpPipelineConfig(saved);
   SetParallelWorkerCount(restore_workers);
 
   const int64_t e_local = config.num_experts / n;
@@ -743,10 +740,8 @@ TEST(EpPipelinePermutationTest, DispatchTablesRoundTrip) {
   router.num_experts = config.num_experts;
   router.top_k = k;
 
-  const EpPipelineConfig saved = GetEpPipelineConfig();
   EpPipelineConfig pc;
   pc.num_chunks = chunks;
-  SetEpPipelineConfig(pc);
   FlatCommunicator group(n);
   std::vector<EpFfnCache> caches(static_cast<size_t>(n));
   std::vector<RoutingResult> routings(static_cast<size_t>(n));
@@ -756,9 +751,8 @@ TEST(EpPipelinePermutationTest, DispatchTablesRoundTrip) {
     Tensor x_local = x_full.SliceRows(rank * t_local, (rank + 1) * t_local);
     routings[r] = RouteTokens(MatMul(x_local, w_gate), router);
     EpFfnForward(ctx, config, EpDispatchMode::kAllToAll, w1, w3, w2, x_local,
-                 routings[r], &caches[r]);
+                 routings[r], &caches[r], pc);
   });
-  SetEpPipelineConfig(saved);
 
   for (int rank = 0; rank < n; ++rank) {
     const EpFfnCache& cache = caches[static_cast<size_t>(rank)];

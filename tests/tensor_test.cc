@@ -458,6 +458,32 @@ TEST(WorkspaceTest, SameTagReturnsSameBufferUntilItGrows) {
   EXPECT_NE(other, first);  // distinct tags are distinct slots
 }
 
+#if defined(__SANITIZE_ADDRESS__)
+// Under ASan the arena poisons every byte no caller asked for. One float
+// past a Workspace request is reported although it lies inside the slot's
+// pow2 size class (fresh slot) or inside an earlier, larger request (reused
+// slot), and so is a write to a block sitting on the free list.
+TEST(WorkspaceDeathTest, WriteOnePastAFloatsRequestIsReported) {
+  const auto write_one_past = [](int64_t earlier, int64_t requested) {
+    Workspace ws;
+    if (earlier > 0) {
+      ws.Floats("tensor_test.overrun", earlier);
+    }
+    volatile float* p = ws.Floats("tensor_test.overrun", requested);
+    p[requested] = 1.0f;
+  };
+  EXPECT_DEATH(write_one_past(0, 5), "use-after-poison");
+  EXPECT_DEATH(write_one_past(64, 5), "use-after-poison");
+  EXPECT_DEATH(
+      {
+        volatile float* p = ArenaAcquireFloats(16);
+        ArenaReleaseFloats(const_cast<float*>(p), 16);
+        p[0] = 1.0f;
+      },
+      "use-after-poison");
+}
+#endif
+
 TEST(ArenaTensorTest, AtCheckedFailsHardOnOutOfRangeInEveryBuild) {
   Tensor t = Tensor::Zeros({2, 3});
   EXPECT_EQ(t.AtChecked(1, 2), 0.0f);

@@ -13,10 +13,12 @@
 # across worker and chunk counts; macro_layer_test runs that pipeline inside
 # the full SP+EP layer, with and without selective rematerialization;
 # distributed_lm_test runs the pipelined EP forward and backward inside the
-# full multi-layer SP+EP LM chain);
+# full multi-layer SP+EP LM chain; trainer_test runs TrainLm, whose rank
+# threads each start and join their own ParallelFor workers);
 # fault_test and the recovery bench under ASan cover the checkpoint IO and
 # buffer-corruption paths, comm_test under ASan and UBSan covers every
-# collective's buffer copies, and parallel_test / property_test /
+# collective's buffer copies (under ASan the arena poisons pooled slack and
+# free-listed blocks, so an overrun inside a size class is reported too), and parallel_test / property_test /
 # macro_layer_test / distributed_lm_test under ASan cover the
 # Workspace-staged dispatch packing and the per-chunk expert staging;
 # parallel_test / property_test / fault_test / macro_layer_test /
@@ -56,11 +58,12 @@ cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j
 
 echo
-echo "== TSan: tensor_test + comm_test + kernel_test + parallel_test + telemetry_test + fault_test + elastic_test + fused_ops_test + exec_graph_test + property_test + macro_layer_test + distributed_lm_test + obs_test =="
+echo "== TSan: tensor_test + comm_test + kernel_test + parallel_test + telemetry_test + fault_test + elastic_test + fused_ops_test + exec_graph_test + property_test + macro_layer_test + distributed_lm_test + obs_test + trainer_test =="
 cmake -B build-tsan -S . -DMSMOE_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target tensor_test comm_test kernel_test parallel_test \
   telemetry_test fault_test elastic_test fused_ops_test exec_graph_test \
-  property_test macro_layer_test distributed_lm_test obs_test bench_fault_recovery >/dev/null
+  property_test macro_layer_test distributed_lm_test obs_test trainer_test \
+  bench_fault_recovery >/dev/null
 ./build-tsan/tests/tensor_test
 ./build-tsan/tests/comm_test
 ./build-tsan/tests/kernel_test
@@ -74,6 +77,7 @@ cmake --build build-tsan -j --target tensor_test comm_test kernel_test parallel_
 ./build-tsan/tests/macro_layer_test
 ./build-tsan/tests/distributed_lm_test
 ./build-tsan/tests/obs_test
+./build-tsan/tests/trainer_test
 (cd build-tsan/bench && ./bench_fault_recovery >/dev/null)
 
 echo
