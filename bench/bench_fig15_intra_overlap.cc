@@ -135,10 +135,9 @@ MeasuredReport RunMeasured() {
   comm.SetWireModel(bytes_per_us, kWireLatencyUs);
   report.wire_ms = (kWireLatencyUs + static_cast<double>(ring_bytes) / bytes_per_us) / 1e3;
 
-  const int default_workers = ParallelWorkerCount();
   const int64_t out_elems = kRanks * kRowsLocal * kCols;
   for (int workers : {1, 2}) {
-    SetParallelWorkerCount(workers);
+    const int default_workers = SetParallelWorkerCount(workers);
     for (int64_t tile : {int64_t{48}, int64_t{96}, int64_t{192}, kRowsLocal}) {
       MeasuredPoint point;
       point.workers = workers;
@@ -166,8 +165,8 @@ MeasuredReport RunMeasured() {
       report.all_bitwise = report.all_bitwise && point.bitwise_equal;
       report.points.push_back(point);
     }
+    SetParallelWorkerCount(default_workers);
   }
-  SetParallelWorkerCount(default_workers);
 
   if (const MeasuredPoint* best = report.Best(0)) {
     TilePipelineConfig config;

@@ -192,9 +192,8 @@ MeasuredReport RunMeasured() {
   comm.SetWireModel(bytes_per_us, kWireLatencyUs);
   report.wire_ms = static_cast<double>(report.step_wire_bytes) / bytes_per_us / 1e3;
 
-  const int default_workers = ParallelWorkerCount();
   for (int workers : {1, 2}) {
-    SetParallelWorkerCount(workers);
+    const int default_workers = SetParallelWorkerCount(workers);
     pipe.num_chunks = 1;
     const TimingStats c1_stats = TimedStatsOfN(kWarmup, kReps, [&] { run_step(&y_c1); });
     const TimingStats c1_bwd_stats =
@@ -226,8 +225,8 @@ MeasuredReport RunMeasured() {
           report.all_bitwise && point.bitwise_equal && point.bwd_bitwise_equal;
       report.points.push_back(point);
     }
+    SetParallelWorkerCount(default_workers);
   }
-  SetParallelWorkerCount(default_workers);
 
   // Zero-alloc gate: after warmup, steady-state pipelined steps must be
   // all pool hits — no fresh heap allocations in the dispatch path.

@@ -203,8 +203,7 @@ Report RunAll() {
   Report report;
   // dp=1, single worker: every allocation happens on one thread in one
   // deterministic order — the strict zero-alloc gate.
-  const int default_workers = ParallelWorkerCount();
-  SetParallelWorkerCount(1);
+  const int default_workers = SetParallelWorkerCount(1);
   report.dp1_unpooled = ProfileTrainer("dp1/bf16 unpooled", ReplicatedConfig(1), false);
   report.dp1_pooled = ProfileTrainer("dp1/bf16 pooled", ReplicatedConfig(1), true);
   SetParallelWorkerCount(default_workers);

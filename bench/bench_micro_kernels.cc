@@ -64,8 +64,7 @@ GemmCase RunGemmCase(const std::string& op, bool trans_a, bool trans_b, int64_t 
   result.naive_gflops = Gflops(m, n, k, TimedStatsOfN(kWarmup, kReps, [&] {
     GemmNaive(trans_a, trans_b, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data());
   }).median_s);
-  const int restore_workers = ParallelWorkerCount();
-  SetParallelWorkerCount(1);
+  const int restore_workers = SetParallelWorkerCount(1);
   result.blocked_1w_stats = TimedStatsOfN(kWarmup, kReps, [&] {
     GemmBlocked(trans_a, trans_b, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data());
   });
@@ -189,8 +188,7 @@ Fp8CastCase RunFp8CastCase(int workers) {
   for (auto& value : data) {
     value = static_cast<float>(rng.NextGaussian(0.0, 0.02));
   }
-  const int restore_workers = ParallelWorkerCount();
-  SetParallelWorkerCount(workers);
+  const int restore_workers = SetParallelWorkerCount(workers);
   const TimingStats stats = TimedStatsOfN(kWarmup, kReps, [&] {
     Fp8RoundScaledInPlace(data.data(), kFp8CastElements);
   });

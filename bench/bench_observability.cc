@@ -263,8 +263,7 @@ DisabledAllocResult RunDisabledAllocCheck() {
   NumericTrainConfig config = ObsConfig();
   config.dp_size = 1;
   config.batch_per_rank = 1;
-  const int default_workers = ParallelWorkerCount();
-  SetParallelWorkerCount(1);
+  const int default_workers = SetParallelWorkerCount(1);
   MetricsRegistry::Global().set_enabled(false);
   SetArenaPoolingEnabled(true);
   ArenaTrim();

@@ -6,7 +6,16 @@
 #include <cstring>
 #include <mutex>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define MSMOE_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MSMOE_ASAN 1
+#endif
+#endif
+#if defined(MSMOE_ASAN)
 #include <sanitizer/asan_interface.h>
+#endif
 
 #include "src/base/logging.h"
 
@@ -17,13 +26,18 @@ namespace {
 // slack of a pooled block past its requested size, whole blocks while they
 // sit on a free list, and a Workspace slot past its current request. So an
 // overrun inside the rounded size class, or a use of a released block, is
-// reported. In other builds both compile to nothing.
+// reported. In other builds both are empty.
+#if defined(MSMOE_ASAN)
 void Poison(void* p, int64_t bytes) {
-  ASAN_POISON_MEMORY_REGION(p, static_cast<size_t>(bytes));
+  __asan_poison_memory_region(p, static_cast<size_t>(bytes));
 }
 void Unpoison(void* p, int64_t bytes) {
-  ASAN_UNPOISON_MEMORY_REGION(p, static_cast<size_t>(bytes));
+  __asan_unpoison_memory_region(p, static_cast<size_t>(bytes));
 }
+#else
+void Poison(void*, int64_t) {}
+void Unpoison(void*, int64_t) {}
+#endif
 
 // Makes [p, p + bytes) usable and poisons the rest of the block's capacity.
 void ExposeOnly(void* p, int64_t bytes, int64_t capacity) {

@@ -143,8 +143,9 @@ int ParallelWorkerCount() {
   return std::max(1, machine / tls_rank_share);
 }
 
-void SetParallelWorkerCount(int count) {
-  g_worker_cap.store(std::clamp(count, 1, kMaxWorkers), std::memory_order_relaxed);
+int SetParallelWorkerCount(int count) {
+  return g_worker_cap.exchange(count <= 0 ? 0 : std::min(count, kMaxWorkers),
+                               std::memory_order_relaxed);
 }
 
 bool InParallelWorker() { return tls_in_parallel_shard; }

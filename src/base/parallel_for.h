@@ -40,10 +40,14 @@ namespace msmoe {
 // the calling thread: a value of 1 means every ParallelFor runs inline.
 int ParallelWorkerCount();
 
-// Sets the worker cap of every calling thread (clamped to [1, 64]). Takes
-// effect for subsequent ParallelFor calls; already-spawned workers are
-// kept. Once set, the cap is no longer divided across the ranks of a run.
-void SetParallelWorkerCount(int count);
+// Sets the worker cap of every calling thread (clamped to [1, 64]); a
+// count <= 0 clears the override, so MSMOE_NUM_THREADS or the divided
+// default applies again. Takes effect for subsequent ParallelFor calls;
+// already-spawned workers are kept. While set, the cap is not divided
+// across the ranks of a run. Returns the previous override (0 when none
+// was set), so `SetParallelWorkerCount(previous)` restores it exactly;
+// restoring ParallelWorkerCount() instead would pin the default.
+int SetParallelWorkerCount(int count);
 
 // While alive, marks the current thread as one of the `ranks` rank threads
 // of a run, which share the machine budget of an unset cap. RunOnRanks

@@ -72,7 +72,7 @@ enum class EpDispatchMode {
 const char* EpDispatchModeName(EpDispatchMode mode);
 
 // Configuration of the fused EP pipelines, passed to each EpFfnForward call
-// (ParallelMoeLayerOptions::pipeline for the layer). Every rank of a group
+// (ParallelMoeLayerForward passes the default). Every rank of a group
 // must pass the same values: the chunk count shapes the collective sequence
 // of both dispatch modes. EpFfnForward clamps num_chunks to [1, 64] (and, in
 // kAllGatherScatter mode, to the local token count) and records the clamped

@@ -84,9 +84,8 @@ Tensor ParallelMoeLayerForward(const ShardContext& ctx, const ModelConfig& confi
   prev = graph.AddCompute(
       "ep_ffn",
       [&] {
-        Tensor ffn_out =
-            EpFfnForward(ctx, config, options.dispatch, params.w1, params.w3, params.w2,
-                         cache->ln2_out, cache->routing, &cache->ffn, options.pipeline);
+        Tensor ffn_out = EpFfnForward(ctx, config, options.dispatch, params.w1, params.w3,
+                                      params.w2, cache->ln2_out, cache->routing, &cache->ffn);
         y = Add(cache->ln2_in, ffn_out);
         return Status::Ok();
       },

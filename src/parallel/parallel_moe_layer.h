@@ -33,7 +33,6 @@ namespace msmoe {
 struct ParallelMoeLayerOptions {
   EpDispatchMode dispatch = EpDispatchMode::kAllToAll;
   bool sar = false;
-  EpPipelineConfig pipeline;  // chunking and wire format of the EP FFN
 };
 
 struct ParallelMoeLayerCache {

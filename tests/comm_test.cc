@@ -833,8 +833,7 @@ TEST(CollectiveGroupAbortTest, NextExchangeAfterAbortDoesNotRaceThePeerCopy) {
 // while its peers do the same, with no deadlock and full coverage.
 TEST(RunOnRanksTest, ParallelForInsideRankThreads) {
   const int n = 4;
-  const int restore = ParallelWorkerCount();
-  SetParallelWorkerCount(4);
+  const int restore = SetParallelWorkerCount(4);
   std::vector<int64_t> totals(n, 0);
   RunOnRanks(n, [&](int rank) {
     std::atomic<int64_t> local{0};

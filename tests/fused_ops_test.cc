@@ -123,9 +123,8 @@ TEST(FusedPipelineGridTest, AgGemmBitwiseAcrossWorkersAndTiles) {
   }
   Tensor y_ref = MatMul(x_full, w);
 
-  const int restore = ParallelWorkerCount();
   for (const int workers : {1, 2, 4}) {
-    SetParallelWorkerCount(workers);
+    const int restore = SetParallelWorkerCount(workers);
     for (const int64_t tile : {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{5},
                                rows_local, int64_t{100}}) {
       FlatCommunicator group(n);
@@ -140,8 +139,8 @@ TEST(FusedPipelineGridTest, AgGemmBitwiseAcrossWorkersAndTiles) {
             << "workers=" << workers << " tile=" << tile << " rank=" << rank;
       }
     }
+    SetParallelWorkerCount(restore);
   }
-  SetParallelWorkerCount(restore);
 }
 
 // Same grid for the producer-gated GEMM+reduce-scatter pipeline. The ring
@@ -176,8 +175,7 @@ TEST(FusedPipelineGridTest, GemmRsBitwiseAcrossWorkersAndTiles) {
     return y;
   };
 
-  const int restore = ParallelWorkerCount();
-  SetParallelWorkerCount(1);
+  const int restore = SetParallelWorkerCount(1);
   const std::vector<Tensor> baseline = run_grid_cell(rows);
   for (const int workers : {1, 2, 4}) {
     SetParallelWorkerCount(workers);

@@ -24,6 +24,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -166,12 +167,11 @@ TEST(GemmKernelTest, AlphaZeroSkipsInputsBetaZeroOverwrites) {
 // worker count. fused_ops_test asserts row-tiled == monolithic GEMM results
 // bitwise, and fault replay requires bit-identical recovered losses.
 TEST(GemmKernelTest, BitwiseDeterministicAcrossWorkerCounts) {
-  const int restore = ParallelWorkerCount();
   const int64_t m = 130, n = 96, k = 70;
   const std::vector<float> a = RandomVector(m * k, 11);
   const std::vector<float> b = RandomVector(k * n, 12);
 
-  SetParallelWorkerCount(1);
+  const int restore = SetParallelWorkerCount(1);
   std::vector<float> c1(static_cast<size_t>(m * n), 0.0f);
   GemmBlocked(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c1.data());
 
@@ -184,7 +184,6 @@ TEST(GemmKernelTest, BitwiseDeterministicAcrossWorkerCounts) {
 }
 
 TEST(GemmKernelTest, GroupedGemmDeterministicAcrossWorkerCounts) {
-  const int restore = ParallelWorkerCount();
   const int64_t experts = 5, rows = 64, h = 24, f = 40;
   Rng rng(21);
   Tensor x = Tensor::Randn({rows, h}, rng);
@@ -195,7 +194,7 @@ TEST(GemmKernelTest, GroupedGemmDeterministicAcrossWorkerCounts) {
     offsets.push_back(rows * (e + 1) / experts);
   }
 
-  SetParallelWorkerCount(1);
+  const int restore = SetParallelWorkerCount(1);
   Tensor y1 = GroupedGemm(x, offsets, weights);
   SetParallelWorkerCount(4);
   Tensor y4 = GroupedGemm(x, offsets, weights);
@@ -208,8 +207,7 @@ TEST(GemmKernelTest, GroupedGemmDeterministicAcrossWorkerCounts) {
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
-  const int restore = ParallelWorkerCount();
-  SetParallelWorkerCount(4);
+  const int restore = SetParallelWorkerCount(4);
   std::vector<std::atomic<int>> hits(257);
   for (auto& hit : hits) {
     hit.store(0);
@@ -236,8 +234,7 @@ TEST(ParallelForTest, ZeroAndNegativeLengthAreNoops) {
 // Nested ParallelFor must degrade to inline execution in the worker (no
 // deadlock, full coverage).
 TEST(ParallelForTest, NestedCallsRunInline) {
-  const int restore = ParallelWorkerCount();
-  SetParallelWorkerCount(4);
+  const int restore = SetParallelWorkerCount(4);
   std::atomic<int64_t> total{0};
   ParallelFor(8, 1, [&](int64_t begin, int64_t end) {
     EXPECT_TRUE(InParallelWorker());
@@ -253,8 +250,7 @@ TEST(ParallelForTest, NestedCallsRunInline) {
 }
 
 TEST(ParallelForTest, PropagatesWorkerException) {
-  const int restore = ParallelWorkerCount();
-  SetParallelWorkerCount(4);
+  const int restore = SetParallelWorkerCount(4);
   EXPECT_THROW(
       ParallelFor(64, 1,
                   [&](int64_t begin, int64_t) {
@@ -273,8 +269,7 @@ TEST(ParallelForTest, PropagatesWorkerException) {
 // Multiple external threads may call ParallelFor at once (rank threads do
 // exactly this); each call must see its own complete range.
 TEST(ParallelForTest, ConcurrentCallersEachCoverTheirRange) {
-  const int restore = ParallelWorkerCount();
-  SetParallelWorkerCount(4);
+  const int restore = SetParallelWorkerCount(4);
   constexpr int kCallers = 4;
   std::vector<std::thread> threads;
   std::vector<int64_t> totals(kCallers, 0);
@@ -302,8 +297,7 @@ TEST(ParallelForTest, ConcurrentCallersEachCoverTheirRange) {
 // two-shard calls run on exactly two threads (itself and its one worker),
 // and no thread runs shards for both ranks.
 TEST(ParallelForTest, RankThreadsRunShardsOnTheirOwnWorkers) {
-  const int restore = ParallelWorkerCount();
-  SetParallelWorkerCount(2);
+  const int restore = SetParallelWorkerCount(2);
   constexpr int kRanks = 2;
   std::vector<std::set<std::thread::id>> ran_on(kRanks);
   RunOnRanks(kRanks, [&](int rank) {
@@ -327,16 +321,22 @@ TEST(ParallelForTest, RankThreadsRunShardsOnTheirOwnWorkers) {
 }
 
 // With no cap set, a rank thread of an R-rank run gets max(1, budget / R)
-// workers, where the budget is hardware_concurrency clamped to 16. It runs
-// in a re-executed child process, so no earlier test has set the cap.
+// workers, where the budget is hardware_concurrency clamped to 16, and
+// restoring the override that SetParallelWorkerCount returns unsets it
+// again. It runs in a re-executed child process ("threadsafe" style: a fork
+// would not carry this thread's pool workers), so no earlier test has set
+// the cap.
 TEST(ParallelForDeathTest, UnsetCapIsDividedAcrossRanks) {
+  const std::string style = ::testing::FLAGS_gtest_death_test_style;
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_EXIT(
       {
         unsetenv("MSMOE_NUM_THREADS");
         const unsigned hc = std::thread::hardware_concurrency();
         const int budget = hc == 0 ? 1 : static_cast<int>(std::min(hc, 16u));
-        bool ok = ParallelWorkerCount() == budget;
+        const int unset = SetParallelWorkerCount(budget + 1);
+        bool ok = unset == 0 && SetParallelWorkerCount(unset) == budget + 1;
+        ok = ok && ParallelWorkerCount() == budget;
         for (int ranks : {1, 2, 3, 32}) {
           std::vector<int> seen(static_cast<size_t>(ranks), 0);
           RunOnRanks(ranks, [&](int rank) {
@@ -354,6 +354,7 @@ TEST(ParallelForDeathTest, UnsetCapIsDividedAcrossRanks) {
         std::exit(ok ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");
+  ::testing::FLAGS_gtest_death_test_style = style;
 }
 
 TEST(KernelStatsTest, CountsGemmAndGroupedGemm) {

@@ -214,9 +214,8 @@ TEST(Fp8CodecTest, ScaledRoundMatchesReferenceAtAnyWorkerCount) {
   // Fp8RoundScaledInPlace is the trainer's parameter (per tensor),
   // activation (per row) and ZeRO wire (per 128-group) cast; long spans are
   // split across workers, short ones run inline.
-  const int prev_workers = ParallelWorkerCount();
   for (const int workers : {1, 3}) {
-    SetParallelWorkerCount(workers);
+    const int restore = SetParallelWorkerCount(workers);
     for (const int64_t n : {int64_t{128}, int64_t{100}, int64_t{4096}, int64_t{300001}}) {
       for (const bool with_inf : {false, true}) {
         std::vector<float> got = CastInput(n, static_cast<uint64_t>(n), with_inf);
@@ -227,8 +226,8 @@ TEST(Fp8CodecTest, ScaledRoundMatchesReferenceAtAnyWorkerCount) {
             << "n=" << n << " workers=" << workers << " inf=" << with_inf;
       }
     }
+    SetParallelWorkerCount(restore);
   }
-  SetParallelWorkerCount(prev_workers);
 }
 
 class QuantizeGranularityTest : public ::testing::TestWithParam<QuantGranularity> {};

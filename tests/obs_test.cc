@@ -381,8 +381,7 @@ TEST(StepProfilerTrainerTest, EmitsOneReportPerRankStepAndWritesArtifacts) {
 // own event streams, not from process-global counters.
 TEST(StepProfilerTrainerTest, DeterministicFieldsBitwiseStableAcrossWorkerCounts) {
   const auto run = [](int workers) {
-    const int restore = ParallelWorkerCount();
-    SetParallelWorkerCount(workers);
+    const int restore = SetParallelWorkerCount(workers);
     StepProfilerConfig profiler_config;
     profiler_config.anomaly = RobustAnomalyConfig();
     profiler_config.world = 2;

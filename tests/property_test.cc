@@ -439,8 +439,7 @@ TEST_P(RandomizedScheduleTest, AnyValidScheduleIsBitwiseEqualToEager) {
   }
   Tensor y_ref = MatMul(x_full, w);
 
-  const int restore = ParallelWorkerCount();
-  SetParallelWorkerCount(workers);
+  const int restore = SetParallelWorkerCount(workers);
 
   // All-gather + GEMM pipeline under a seeded random schedule. Every rank
   // derives the schedule from the same (graph shape, seed), so ranks agree.
@@ -611,13 +610,11 @@ TEST_P(EpPipelineSweepTest, PipelineMatchesSingleRankReference) {
   const RefFfnResult ref =
       ReferenceFfn(config, w1, w3, w2, x_full, RouteTokens(logits_full, router), dy_full);
 
-  const int restore_workers = ParallelWorkerCount();
-
   // Drops ffn_in, fc2_in and x_all after the forward and rebuilds them
   // with the collective replay before the backward, so the backward result
   // also pins the rematerialized dispatch.
   const auto run = [&](int run_workers, int run_chunks, EpPipelineRun* out) {
-    SetParallelWorkerCount(run_workers);
+    const int restore = SetParallelWorkerCount(run_workers);
     EpPipelineConfig pc;
     pc.num_chunks = run_chunks;
     FlatCommunicator group(n);
@@ -650,6 +647,7 @@ TEST_P(EpPipelineSweepTest, PipelineMatchesSingleRankReference) {
       out->dw3[r] = std::move(grads.dw3);
       out->dw2[r] = std::move(grads.dw2);
     });
+    SetParallelWorkerCount(restore);
   };
 
   EpPipelineRun pipelined, anchor;
@@ -658,7 +656,6 @@ TEST_P(EpPipelineSweepTest, PipelineMatchesSingleRankReference) {
   if (!order_free) {
     run(/*run_workers=*/1, /*run_chunks=*/1, &anchor);
   }
-  SetParallelWorkerCount(restore_workers);
 
   const int64_t e_local = config.num_experts / n;
   for (int rank = 0; rank < n; ++rank) {

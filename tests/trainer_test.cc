@@ -50,9 +50,8 @@ TEST(Fp8CastTest, RoundParamsMatchesReferenceAtAnyWorkerCount) {
   ASSERT_GT(largest, 32768);
   const std::vector<Tensor*> want_tensors = want.TensorList();
 
-  const int prev_workers = ParallelWorkerCount();
   for (const int workers : {1, 3}) {
-    SetParallelWorkerCount(workers);
+    const int restore = SetParallelWorkerCount(workers);
     LmParams got = init;
     RoundParams(got, TrainPrecision::kFp8);
     const std::vector<Tensor*> got_tensors = got.TensorList();
@@ -63,8 +62,8 @@ TEST(Fp8CastTest, RoundParamsMatchesReferenceAtAnyWorkerCount) {
                 0)
           << "tensor " << t << " workers " << workers;
     }
+    SetParallelWorkerCount(restore);
   }
-  SetParallelWorkerCount(prev_workers);
 }
 
 TEST(FlatAdamTest, MatchesTensorAdamOnSameProblem) {
@@ -271,8 +270,7 @@ TEST(MemorySteadyStateTest, SecondRunOfTrainerDoesZeroHeapAllocs) {
   config.model.num_layers = 2;
   config.dp_size = 1;
   config.steps = 4;
-  const int prev_workers = ParallelWorkerCount();
-  SetParallelWorkerCount(1);
+  const int prev_workers = SetParallelWorkerCount(1);
   SetArenaPoolingEnabled(true);
 
   const TrainCurve warm = TrainLm(config);

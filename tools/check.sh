@@ -18,8 +18,9 @@
 # fault_test and the recovery bench under ASan cover the checkpoint IO and
 # buffer-corruption paths, comm_test under ASan and UBSan covers every
 # collective's buffer copies (under ASan the arena poisons pooled slack and
-# free-listed blocks, so an overrun inside a size class is reported too), and parallel_test / property_test /
-# macro_layer_test / distributed_lm_test under ASan cover the
+# free-listed blocks, so an overrun inside a size class is reported too),
+# and parallel_test / property_test / macro_layer_test /
+# distributed_lm_test under ASan cover the
 # Workspace-staged dispatch packing and the per-chunk expert staging;
 # parallel_test / property_test / fault_test / macro_layer_test /
 # distributed_lm_test under UBSan (aborting on the first report) cover the
