@@ -191,6 +191,7 @@ struct AnomalyResult {
   int64_t first_anomaly_step = -1;
   int64_t detection_latency = -1;  // first_anomaly_step - fault_step
   int straggler_suspect = -1;
+  std::vector<double> mean_entry_lag_us;  // the straggler verdict, per rank
   size_t anomaly_events = 0;
   bool trace_has_anomaly_lane = false;
 };
@@ -234,6 +235,9 @@ AnomalyResult RunSlowRankDetection(int64_t collectives_per_step) {
     result.detection_latency = result.first_anomaly_step - kFaultStep;
   }
   result.straggler_suspect = profiler.StragglerSuspect();
+  for (const RankHealth& health : profiler.straggler_report().ranks) {
+    result.mean_entry_lag_us.push_back(health.mean_entry_lag_us);
+  }
 
   std::ifstream trace(trace_path);
   if (trace.good()) {
@@ -331,6 +335,12 @@ void WriteJson(const Report& report) {
   if (json == nullptr) {
     return;
   }
+  std::string lags;
+  for (const double lag : report.anomaly.mean_entry_lag_us) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%s%.1f", lags.empty() ? "" : ", ", lag);
+    lags += buf;
+  }
   std::string spread;
   AppendTimingSpreadJson(&spread, "enabled", report.overhead.enabled_stats);
   spread += ", ";
@@ -344,7 +354,8 @@ void WriteJson(const Report& report) {
       "\"jsonl_lines\": %zu, \"trace_written\": %s, \"prom_written\": %s},\n"
       " \"anomaly\": {\"detected\": %s, \"fault_step\": %lld, "
       "\"first_anomaly_step\": %lld, \"detection_latency_steps\": %lld, "
-      "\"straggler_suspect\": %d, \"events\": %zu, \"trace_lane\": %s},\n"
+      "\"straggler_suspect\": %d, \"mean_entry_lag_us\": [%s], \"events\": %zu, "
+      "\"trace_lane\": %s},\n"
       " \"disabled_registry\": {\"steady_heap_allocs\": %llu, "
       "\"steady_acquires\": %llu}}\n",
       report.overhead.enabled_ms, report.overhead.disabled_ms,
@@ -358,7 +369,7 @@ void WriteJson(const Report& report) {
       static_cast<long long>(report.anomaly.fault_step),
       static_cast<long long>(report.anomaly.first_anomaly_step),
       static_cast<long long>(report.anomaly.detection_latency),
-      report.anomaly.straggler_suspect, report.anomaly.anomaly_events,
+      report.anomaly.straggler_suspect, lags.c_str(), report.anomaly.anomaly_events,
       report.anomaly.trace_has_anomaly_lane ? "true" : "false",
       static_cast<unsigned long long>(report.disabled_allocs.steady_heap_allocs),
       static_cast<unsigned long long>(report.disabled_allocs.steady_acquires));

@@ -80,25 +80,8 @@ int Communicator::SuspectRank() const {
   if (backend_suspect >= 0) {
     return backend_suspect;
   }
-  {
-    std::lock_guard<std::mutex> lock(async_mu_);
-    if (async_ != nullptr) {
-      const int async_suspect = async_->channel.culprit_rank();
-      if (async_suspect >= 0) {
-        return async_suspect;
-      }
-    }
-  }
-  return hint_suspect_.load(std::memory_order_acquire);
-}
-
-void Communicator::HintSuspect(int rank) {
-  if (rank < 0 || rank >= size()) {
-    return;
-  }
-  int expected = -1;
-  hint_suspect_.compare_exchange_strong(expected, rank,
-                                        std::memory_order_acq_rel);
+  std::lock_guard<std::mutex> lock(async_mu_);
+  return async_ != nullptr ? async_->channel.culprit_rank() : -1;
 }
 
 void Communicator::Retire(Status stale) {
@@ -136,7 +119,6 @@ void Communicator::RecoveryBarrier(int member) {
   RecoveryArriveImpl();
   if (member == 0) {
     suspect_rank_.store(-1, std::memory_order_release);
-    hint_suspect_.store(-1, std::memory_order_release);
     ResetBackendAbort();
     std::lock_guard<std::mutex> lock(async_mu_);
     if (async_ != nullptr) {

@@ -118,15 +118,10 @@ class Communicator {
   // Best-guess member responsible for the current failure: an explicit
   // attribution passed to Abort (injected crashes name the crashing rank),
   // else the backend barrier's missing-member attribution on timeout, else
-  // the async channel's, else an observability hint (HintSuspect). -1 when
-  // healthy or unattributed.
+  // the async channel's. -1 when healthy or unattributed. Only the fault
+  // path attributes: statistics (comm/health.h) are the trainer's fallback
+  // for unattributed deadlines, never an input here.
   int SuspectRank() const;
-  // Advisory suspect from the observability layer (obs StepProfiler's
-  // anomaly detector): consulted LAST by SuspectRank, so real fault
-  // attribution always wins over statistics. First hint sticks until
-  // RecoveryBarrier clears it alongside suspect_rank_; hints never abort
-  // anything by themselves.
-  void HintSuspect(int rank);
   // Collective-safe reset after all ranks observed the failure: rendezvous,
   // clear the abort on every channel (async included), rendezvous (see
   // CollectiveGroup::RecoveryBarrier). Outstanding CommHandles must be
@@ -446,9 +441,6 @@ class Communicator {
   // First explicit fault attribution handed to Abort; -1 = none. Cleared by
   // RecoveryBarrier (transient faults forgive the suspect on reset).
   std::atomic<int> suspect_rank_{-1};
-  // Advisory attribution from the observability layer (HintSuspect); lowest
-  // priority in SuspectRank, cleared with suspect_rank_.
-  std::atomic<int> hint_suspect_{-1};
   // Stale-epoch state (Retire): set once, never cleared.
   std::atomic<bool> retired_{false};
   Status stale_status_;  // guarded by async_mu_

@@ -4,15 +4,42 @@
 #include <limits>
 
 namespace msmoe {
+namespace {
+
+// A flagged rank's mean lag must exceed this multiple of its peers' median.
+constexpr double kPeerLagFactor = 2.0;
+
+// Median of the mean lags of every rank other than `self` that took part in
+// at least one matched collective (0 when there is none).
+double PeerMedianLag(const std::vector<RankHealth>& ranks, int self) {
+  std::vector<double> lags;
+  for (const RankHealth& health : ranks) {
+    if (health.rank != self && health.collectives > 0) {
+      lags.push_back(health.mean_entry_lag_us);
+    }
+  }
+  if (lags.empty()) {
+    return 0.0;
+  }
+  std::sort(lags.begin(), lags.end());
+  const size_t mid = lags.size() / 2;
+  return lags.size() % 2 == 1 ? lags[mid] : 0.5 * (lags[mid - 1] + lags[mid]);
+}
+
+}  // namespace
 
 StragglerReport DetectStragglers(const std::vector<CommEvent>& events,
                                  const StragglerConfig& config) {
   StragglerReport report;
   report.threshold_us = config.threshold_us;
 
+  // Only the rank thread's own entries: async-lane chunk events are started
+  // by the comm proxy, so their timing says nothing about the rank.
   int max_rank = -1;
   for (const CommEvent& event : events) {
-    max_rank = std::max(max_rank, event.rank);
+    if (!event.async_lane) {
+      max_rank = std::max(max_rank, event.rank);
+    }
   }
   if (max_rank < 0) {
     return report;
@@ -24,7 +51,9 @@ StragglerReport DetectStragglers(const std::vector<CommEvent>& events,
   // sort each stream by start time.
   std::vector<std::vector<double>> starts(static_cast<size_t>(num_ranks));
   for (const CommEvent& event : events) {
-    starts[static_cast<size_t>(event.rank)].push_back(event.start_us);
+    if (!event.async_lane) {
+      starts[static_cast<size_t>(event.rank)].push_back(event.start_us);
+    }
   }
   size_t matched = 0;
   for (auto& stream : starts) {
@@ -75,8 +104,13 @@ StragglerReport DetectStragglers(const std::vector<CommEvent>& events,
     if (health.collectives > 0) {
       health.mean_entry_lag_us /= static_cast<double>(health.collectives);
     }
-    health.straggler = health.collectives >= config.min_collectives &&
-                       health.mean_entry_lag_us > config.threshold_us;
+  }
+  for (RankHealth& health : report.ranks) {
+    health.straggler =
+        health.collectives >= config.min_collectives &&
+        health.mean_entry_lag_us > config.threshold_us &&
+        health.mean_entry_lag_us >
+            kPeerLagFactor * PeerMedianLag(report.ranks, health.rank);
   }
   return report;
 }

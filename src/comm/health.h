@@ -7,12 +7,19 @@
 // earliest member entry, while healthy peers show inflated durations.
 // DetectStragglers matches up the per-rank event streams collective by
 // collective, measures each rank's entry lag against the earliest member,
-// and flags ranks whose mean lag exceeds a threshold — the per-rank health
-// verdict production systems page on.
+// and flags ranks whose mean lag is both above an absolute threshold and
+// above twice the median of the other ranks' mean lags. The peer-relative
+// half keeps skew that every rank suffers alike (a loaded host, lag that
+// rotates between ranks) from flagging healthy ranks. Only sync-lane events
+// are matched: they are the rank thread's own entries, while async-lane
+// chunk events are started by the comm proxy.
 //
-// Flags export into the same Chrome trace as the raw events
-// (src/sim/trace_export takes an optional StragglerReport), so a flagged
-// rank is visible right on the timeline it slowed down.
+// This is the program's one straggler verdict: the trainer's elastic fault
+// attribution falls back to it for unattributed deadlines, and the obs
+// StepProfiler computes it once at Finish for the trace and its
+// StragglerSuspect(). Flags export into the same Chrome trace as the raw
+// events (src/sim/trace_export takes an optional StragglerReport), so a
+// flagged rank is visible right on the timeline it slowed down.
 #ifndef MSMOE_SRC_COMM_HEALTH_H_
 #define MSMOE_SRC_COMM_HEALTH_H_
 
@@ -24,7 +31,8 @@
 namespace msmoe {
 
 struct StragglerConfig {
-  // A rank whose MEAN entry lag exceeds this is flagged.
+  // A flagged rank's MEAN entry lag must exceed this, and also twice the
+  // median of its peers' mean lags.
   double threshold_us = 1000.0;
   // Don't flag on fewer matched collectives than this (startup noise).
   int64_t min_collectives = 4;
@@ -53,10 +61,10 @@ struct StragglerReport {
   }
 };
 
-// Analyzes events recorded by one Communicator run. Events are grouped by
-// rank and ordered by start time; the i-th event of each rank is matched as
-// one collective instance (ranks issue collectives in the same global
-// order). Ranks are inferred from the events. Uneven per-rank counts (a
+// Analyzes events recorded by one Communicator run. Sync-lane events are
+// grouped by rank and ordered by start time; the i-th event of each rank is
+// matched as one collective instance (ranks issue collectives in the same
+// global order). Ranks are inferred from the events. Uneven per-rank counts (a
 // crashed rank's truncated stream) do NOT truncate the analysis: instance i
 // is matched over the ranks whose streams reach it, so the healthy
 // survivors' late collectives — the fault signature — are still scored;

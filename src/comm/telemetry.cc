@@ -69,8 +69,6 @@ const char* AnomalyKindName(AnomalyEvent::Kind kind) {
       return "step_time_regression";
     case AnomalyEvent::Kind::kExposedCommSpike:
       return "exposed_comm_spike";
-    case AnomalyEvent::Kind::kStragglerSuspect:
-      return "straggler_suspect";
   }
   return "unknown";
 }

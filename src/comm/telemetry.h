@@ -102,7 +102,6 @@ struct AnomalyEvent {
   enum class Kind {
     kStepTimeRegression,  // rank's step time spiked vs its own rolling window
     kExposedCommSpike,    // rank's exposed (non-overlapped) comm spiked
-    kStragglerSuspect,    // cross-rank attribution: this rank is the laggard
   };
   Kind kind = Kind::kStepTimeRegression;
   int rank = 0;

@@ -716,21 +716,18 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       }
       if (step_ran) {
         run_step(step, /*record=*/true);
-        if (config.profiler != nullptr && config.elastic) {
-          // Forward the detector's straggler verdict (an epoch-local rank)
-          // as an advisory attribution: first hint sticks, real fault
-          // attribution still wins inside SuspectRank. Every rank reads the
-          // same shared profiler, so the CAS race is benign.
-          const int hint = config.profiler->StragglerSuspect();
-          if (hint >= 0) {
-            comm_now->HintSuspect(hint);
-          }
-        }
         if (config.guard_grad_checksum && comm_now->GroupStatus().ok()) {
           checksum_guard();
         }
       }
-      const Status status = comm_now->GroupStatus();
+      Status status = comm_now->GroupStatus();
+      if (status.ok() && fault_aware && step + 1 == config.steps) {
+        // A peer can still raise a fault after this check (the checksum
+        // guard aborts after its exchange). Mid-run the next step's
+        // collectives carry it here; after the last step only this barrier
+        // does, so every rank leaves the loop or none does.
+        status = comm_now->Barrier(my);
+      }
       if (status.ok()) {
         if (config.elastic) {
           policy.OnStepSuccess();
@@ -744,52 +741,33 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       // fault may read OK here and enter recovery one iteration later — the
       // rollback below re-aligns everyone at step = checkpoint_step, which
       // the barrier-gated snapshot keeps identical across the group.
-      if (!config.elastic) {
-        // Legacy rollback path: every recoverable fault is retried. Codes
-        // outside the rollback-repairable set (see IsRetryableFault) are
-        // logic errors that would fail identically on replay — fail loudly.
-        MSMOE_CHECK(IsRetryableFault(status) ||
-                    status.code() == StatusCode::kDataLoss)
-            << "non-recoverable failure at step " << step << ": "
-            << status.ToString();
-        ++recoveries_used;
-        MSMOE_CHECK_LE(recoveries_used, config.max_recoveries)
-            << "training failed at step " << step << " and exhausted "
-            << config.max_recoveries << " recoveries: " << status.ToString();
-        if (my == 0 && config.profiler != nullptr) {
-          config.profiler->NoteRetry();
+      //
+      // Classification. Elastic runs ask the policy replica. Attribution:
+      // the communicator's shared suspect (explicit abort culprit, or the
+      // barrier arrival bitmap on a timeout), falling back to the straggler
+      // report over the epoch's telemetry for deadline faults with no
+      // bitmap attribution. Both inputs are identical on every rank.
+      // Non-elastic runs retry every rollback-repairable fault with no
+      // backoff and no culprit; other codes are logic errors that would fail
+      // identically on replay.
+      int culprit_global = -1;
+      RecoveryDecision decision;
+      if (config.elastic) {
+        int suspect = comm_now->SuspectRank();
+        if (suspect < 0 && status.code() == StatusCode::kDeadlineExceeded) {
+          suspect =
+              WorstStragglerRank(DetectStragglers(comm_now->telemetry().Events()));
         }
-        comm_now->RecoveryBarrier(my);
-        restore_snapshot();
-        if (my == 0) {
-          RecoveryEvent event;
-          event.failed_step = step;
-          event.resumed_step = checkpoint_step;
-          event.steps_lost = step - checkpoint_step;
-          event.cause = status.ToString();
-          event.world_after = 0;
-          curve.recoveries.push_back(event);
+        if (suspect >= 0 && suspect < dp_now) {
+          culprit_global = members_now[static_cast<size_t>(suspect)];
         }
-        step = checkpoint_step;
-        continue;
+        decision = policy.OnFailure(status, culprit_global);
+      } else if (IsRetryableFault(status) ||
+                 status.code() == StatusCode::kDataLoss) {
+        decision.verdict = FaultVerdict::kTransient;
+      } else {
+        decision.reason = "non-recoverable status code";
       }
-
-      // --- Elastic fault classification ---------------------------------
-      // Attribution: the communicator's shared suspect (explicit abort
-      // culprit, or the barrier arrival bitmap on a timeout), falling back
-      // to the straggler report over the epoch's telemetry for deadline
-      // faults with no bitmap attribution. Both inputs are identical on
-      // every rank.
-      int suspect = comm_now->SuspectRank();
-      if (suspect < 0 && status.code() == StatusCode::kDeadlineExceeded) {
-        suspect =
-            WorstStragglerRank(DetectStragglers(comm_now->telemetry().Events()));
-      }
-      const int culprit_global =
-          (suspect >= 0 && suspect < dp_now)
-              ? members_now[static_cast<size_t>(suspect)]
-              : -1;
-      const RecoveryDecision decision = policy.OnFailure(status, culprit_global);
       MSMOE_CHECK(decision.verdict != FaultVerdict::kFatal)
           << "fatal failure at step " << step << " (" << decision.reason
           << "): " << status.ToString();
@@ -816,7 +794,7 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
           event.cause = status.ToString();
           event.verdict = decision.verdict;
           event.culprit_rank = decision.culprit_rank;
-          event.world_after = dp_now;
+          event.world_after = config.elastic ? dp_now : 0;
           event.backoff_ms = decision.backoff_ms;
           curve.recoveries.push_back(event);
         }
@@ -848,9 +826,7 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       members_now = elastic.members();
       if (my == 0 && config.profiler != nullptr) {
         config.profiler->NoteEviction();
-        // New epoch => new (smaller) world for MFU attribution and the
-        // detector's cross-rank pass; partially-reported steps of the old
-        // epoch age out of the detector's pending map.
+        // New epoch => new (smaller) world for the GEMM/MFU split.
         config.profiler->set_world(dp_now);
       }
       // Re-plan the per-rank geometry for the shrunk world, then restore

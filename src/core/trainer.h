@@ -139,17 +139,17 @@ struct NumericTrainConfig {
   // --- Observability (src/obs/step_profiler.h) -----------------------------
   // When set, every recorded training step on every rank is bracketed by a
   // ScopedStep: per-rank StepReports (compute / exposed comm / bubble / MFU
-  // / pool-hit / expert skew / loss) accumulate in the profiler, feed its
-  // online anomaly detector, and — on elastic runs — a detector straggler
-  // verdict is forwarded to the communicator as an advisory suspect hint
-  // (lowest-priority input to fault attribution). The trainer also reports
-  // retries and evictions, and updates the profiler's world after a shrink.
-  // Before TrainLm returns it calls profiler->Finish(...) with the final
-  // epoch's telemetry, writing metrics.jsonl / the merged trace / the
-  // Prometheus snapshot (Finish is idempotent — callers may call it again).
-  // Not owned; nullptr (the default) disables all of it — instrumented and
-  // uninstrumented runs are loss-bitwise-identical (bench_observability
-  // asserts this).
+  // / pool-hit / expert skew / loss) accumulate in the profiler and feed its
+  // online anomaly detector. The trainer also reports retries and
+  // evictions, and updates the profiler's world after a shrink. Before
+  // TrainLm returns it calls profiler->Finish(...) with the final epoch's
+  // telemetry, which computes the straggler verdict and writes
+  // metrics.jsonl / the merged trace / the Prometheus snapshot (Finish is
+  // idempotent — callers may call it again). The profiler only observes:
+  // nothing it computes reaches fault handling, so instrumented and
+  // uninstrumented runs are loss-bitwise-identical and reach the same
+  // recovery verdicts (bench_observability and obs_test assert this).
+  // Not owned; nullptr (the default) disables all of it.
   StepProfiler* profiler = nullptr;
 };
 

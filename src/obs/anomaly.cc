@@ -12,8 +12,6 @@ AnomalyDetector::AnomalyDetector(AnomalyConfig config) : config_(config) {
   if (config_.min_samples > config_.window) config_.min_samples = config_.window;
 }
 
-void AnomalyDetector::set_world(int ranks) { world_ = std::max(1, ranks); }
-
 void AnomalyDetector::Window::Push(double v) {
   if (samples.empty()) return;  // sized lazily by the detector
   samples[next] = v;
@@ -42,7 +40,7 @@ double AnomalyDetector::Window::Stddev(double mean) const {
   return std::sqrt(acc / static_cast<double>(count - 1));
 }
 
-bool AnomalyDetector::Judge(Window* window, double value, AnomalyEvent::Kind kind,
+void AnomalyDetector::Judge(Window* window, double value, AnomalyEvent::Kind kind,
                             const StepSample& sample,
                             std::vector<AnomalyEvent>* out) {
   if (window->samples.empty()) {
@@ -80,72 +78,22 @@ bool AnomalyDetector::Judge(Window* window, double value, AnomalyEvent::Kind kin
   // Anomalous samples stay out of the baseline so sustained regressions
   // keep firing rather than becoming the new normal.
   if (!fired) window->Push(value);
-  return fired;
 }
 
 std::vector<AnomalyEvent> AnomalyDetector::Observe(const StepSample& sample) {
   std::vector<AnomalyEvent> fired;
   RankState& state = ranks_[sample.rank];
-  bool suspicious = false;
-  suspicious |= Judge(&state.step_ms, sample.step_ms,
-                      AnomalyEvent::Kind::kStepTimeRegression, sample, &fired);
-  suspicious |= Judge(&state.exposed_ms, sample.exposed_comm_ms,
-                      AnomalyEvent::Kind::kExposedCommSpike, sample, &fired);
-
-  if (world_ > 1) {
-    PendingStep& pending = pending_[sample.step];
-    pending.samples.push_back(sample);
-    pending.suspicious |= suspicious;
-    if (static_cast<int>(pending.samples.size()) >= world_) {
-      if (pending.suspicious) {
-        // The spiking rank is usually the victim (its barrier wait grew);
-        // the culprit is whoever everyone waited for — the rank with the
-        // outlying compute time this step.
-        double mean = 0.0;
-        const StepSample* worst = &pending.samples.front();
-        for (const StepSample& s : pending.samples) {
-          mean += s.compute_ms;
-          if (s.compute_ms > worst->compute_ms) worst = &s;
-        }
-        mean /= static_cast<double>(pending.samples.size());
-        if (mean > 0.0 && worst->compute_ms >= config_.straggler_ratio * mean) {
-          AnomalyEvent event;
-          event.kind = AnomalyEvent::Kind::kStragglerSuspect;
-          event.rank = worst->rank;
-          event.step = sample.step;
-          event.ts_us = sample.ts_us;
-          event.value_ms = worst->compute_ms;
-          event.baseline_ms = mean;
-          event.zscore =
-              mean > 0.0 ? worst->compute_ms / mean : 0.0;
-          char buf[160];
-          std::snprintf(buf, sizeof(buf),
-                        "rank %d compute %.3fms vs step mean %.3fms (%.2fx)",
-                        worst->rank, worst->compute_ms, mean,
-                        worst->compute_ms / mean);
-          event.detail = buf;
-          fired.push_back(event);
-          straggler_suspect_ = worst->rank;
-        }
-      }
-      pending_.erase(sample.step);
-      // Drop stale partial steps (e.g. from before an elastic shrink) so
-      // the pending map cannot grow without bound.
-      while (!pending_.empty() && pending_.begin()->first < sample.step) {
-        pending_.erase(pending_.begin());
-      }
-    }
-  }
-
+  Judge(&state.step_ms, sample.step_ms, AnomalyEvent::Kind::kStepTimeRegression,
+        sample, &fired);
+  Judge(&state.exposed_ms, sample.exposed_comm_ms,
+        AnomalyEvent::Kind::kExposedCommSpike, sample, &fired);
   events_.insert(events_.end(), fired.begin(), fired.end());
   return fired;
 }
 
 void AnomalyDetector::Reset() {
   ranks_.clear();
-  pending_.clear();
   events_.clear();
-  straggler_suspect_ = -1;
 }
 
 }  // namespace msmoe

@@ -4,16 +4,11 @@
 // signal (total step time, exposed non-overlapped comm) and flags a sample
 // whose z-score against its own rank's window history crosses the
 // threshold — a per-rank temporal test, so a uniformly slow machine does
-// not page while one drifting rank does. Because synchronous data-parallel
-// training equalizes *step* times across ranks (everyone waits at the
-// gradient all-reduce), a straggling rank shows up indirectly: its peers'
-// exposed-comm (barrier wait) spikes while its own compute time balloons.
-// The cross-rank attribution pass therefore runs once all world ranks have
-// reported a step: if any rank spiked at that step, the rank with the
-// largest compute time — provided it exceeds the mean by straggler_ratio —
-// is named the kStragglerSuspect. That verdict feeds the communicator's
-// suspect hint (comm/communicator.h HintSuspect) and through it the
-// elastic RecoveryPolicy eviction path from the recovery PR.
+// not page while one drifting rank does. It pages; it does not attribute.
+// Synchronous data-parallel training equalizes step times (everyone waits
+// at the gradient all-reduce), so a straggler's spike shows on every rank;
+// naming the culprit is the collective-entry verdict of comm/health.h
+// (DetectStragglers), which the owning StepProfiler computes at Finish.
 //
 // Flagged samples are NOT folded into the baseline window, so a sustained
 // regression keeps firing instead of teaching the detector that slow is
@@ -38,9 +33,6 @@ struct AnomalyConfig {
   // z-scores page on microsecond jitter when the baseline variance is tiny.
   double min_ratio = 1.5;
   double min_delta_ms = 0.05;
-  // Cross-rank attribution: max compute_ms must exceed the step's mean
-  // compute_ms by this ratio to name a straggler.
-  double straggler_ratio = 1.25;
 };
 
 // One rank's contribution to one step (a projection of obs StepReport).
@@ -49,7 +41,6 @@ struct StepSample {
   int64_t step = 0;
   double ts_us = 0.0;  // telemetry-epoch end-of-step time (trace placement)
   double step_ms = 0.0;
-  double compute_ms = 0.0;
   double exposed_comm_ms = 0.0;
 };
 
@@ -57,21 +48,11 @@ class AnomalyDetector {
  public:
   explicit AnomalyDetector(AnomalyConfig config = {});
 
-  // Number of ranks expected to report each step (gates the cross-rank
-  // attribution pass). May shrink mid-run after an elastic eviction.
-  void set_world(int ranks);
-  int world() const { return world_; }
-
-  // Feed one sample. Per-rank temporal verdicts fire immediately; the
-  // straggler attribution fires with the step's last-arriving sample.
-  // Returns the events this call produced (also appended to events()).
+  // Feed one sample; its verdicts fire immediately. Returns the events this
+  // call produced (also appended to events()).
   std::vector<AnomalyEvent> Observe(const StepSample& sample);
 
   const std::vector<AnomalyEvent>& events() const { return events_; }
-
-  // Rank most recently named kStragglerSuspect, or -1. Sticky until a
-  // later attribution replaces it or Reset().
-  int straggler_suspect() const { return straggler_suspect_; }
 
   void Reset();
 
@@ -89,21 +70,13 @@ class AnomalyDetector {
     Window step_ms;
     Window exposed_ms;
   };
-  struct PendingStep {
-    std::vector<StepSample> samples;
-    bool suspicious = false;
-  };
-
-  // Returns true (and appends an event) when `value` spikes vs `window`.
-  bool Judge(Window* window, double value, AnomalyEvent::Kind kind,
+  // Appends an event when `value` spikes vs `window`.
+  void Judge(Window* window, double value, AnomalyEvent::Kind kind,
              const StepSample& sample, std::vector<AnomalyEvent>* out);
 
   AnomalyConfig config_;
-  int world_ = 1;
   std::map<int, RankState> ranks_;
-  std::map<int64_t, PendingStep> pending_;
   std::vector<AnomalyEvent> events_;
-  int straggler_suspect_ = -1;
 };
 
 }  // namespace msmoe

@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/comm/health.h"
 #include "src/sim/trace_export.h"
 #include "src/tensor/gemm_kernel.h"
 
@@ -132,8 +131,9 @@ bool ParseStepReportJson(const std::string& line, StepReport* report) {
 }
 
 StepProfiler::StepProfiler(StepProfilerConfig config)
-    : config_(std::move(config)), detector_(config_.anomaly) {
-  detector_.set_world(config_.world);
+    : config_(std::move(config)),
+      detector_(config_.anomaly),
+      world_(std::max(1, config_.world)) {
   if (config_.enabled) {
     peak_flops_per_sec_ = config_.peak_flops_per_sec > 0.0
                               ? config_.peak_flops_per_sec
@@ -155,12 +155,12 @@ StepProfiler::StepProfiler(StepProfilerConfig config)
 
 int StepProfiler::world() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return detector_.world();
+  return world_;
 }
 
 void StepProfiler::set_world(int ranks) {
   std::lock_guard<std::mutex> lock(mu_);
-  detector_.set_world(ranks);
+  world_ = std::max(1, ranks);
 }
 
 void StepProfiler::NoteRetry() {
@@ -179,9 +179,14 @@ void StepProfiler::NoteEviction() {
   MetricsRegistry::Global().Add(ids_.evictions, 1.0);
 }
 
+StragglerReport StepProfiler::straggler_report() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stragglers_;
+}
+
 int StepProfiler::StragglerSuspect() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return detector_.straggler_suspect();
+  return WorstStragglerRank(stragglers_);
 }
 
 std::vector<StepReport> StepProfiler::reports() const {
@@ -206,7 +211,6 @@ void StepProfiler::Submit(StepReport report) {
     sample.step = report.step;
     sample.ts_us = report.ts_us;
     sample.step_ms = report.step_ms;
-    sample.compute_ms = report.compute_ms;
     sample.exposed_comm_ms = report.exposed_comm_ms;
     fired = detector_.Observe(sample);
   }
@@ -239,16 +243,22 @@ Status StepProfiler::Finish(const CommTelemetry* telemetry) {
       }
     }
   }
-  if (!config_.trace_path.empty() && telemetry != nullptr) {
+  if (telemetry != nullptr) {
     const std::vector<CommEvent> events = telemetry->Events();
-    const std::vector<CompEvent> comp = telemetry->CompEvents();
-    const std::vector<DispatchEvent> dispatch = telemetry->DispatchEvents();
-    const MemStatsSnapshot mem = GetMemStats();
-    const TelemetryDropCounts drops = telemetry->drop_counts();
     const StragglerReport health = DetectStragglers(events);
-    MSMOE_RETURN_IF_ERROR(WriteCommTrace(config_.trace_path, events, "msmoe-run",
-                                         &health, &comp, &mem, &dispatch,
-                                         &anomaly_events, &drops));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stragglers_ = health;
+    }
+    if (!config_.trace_path.empty()) {
+      const std::vector<CompEvent> comp = telemetry->CompEvents();
+      const std::vector<DispatchEvent> dispatch = telemetry->DispatchEvents();
+      const MemStatsSnapshot mem = GetMemStats();
+      const TelemetryDropCounts drops = telemetry->drop_counts();
+      MSMOE_RETURN_IF_ERROR(WriteCommTrace(config_.trace_path, events,
+                                           "msmoe-run", &health, &comp, &mem,
+                                           &dispatch, &anomaly_events, &drops));
+    }
   }
   if (!config_.prom_path.empty()) {
     const std::string text = MetricsRegistry::Global().PrometheusText();

@@ -37,10 +37,13 @@
 // concurrent ranks' traffic inside the window and are attribution
 // *estimates* — obs_test pins the former set only.
 //
-// Every report feeds the MetricsRegistry and the online AnomalyDetector;
-// Finish() writes the run artifacts: metrics.jsonl (one JSON object per
-// rank-step), a merged multi-lane Chrome trace (compute / comm / dispatch /
-// memory / anomaly lanes in one file), and a Prometheus text snapshot.
+// Every report feeds the MetricsRegistry and the online AnomalyDetector,
+// which pages on per-rank regressions. Finish() computes the run's one
+// straggler verdict (comm/health.h DetectStragglers over the telemetry) and
+// writes the run artifacts: metrics.jsonl (one JSON object per rank-step),
+// a merged multi-lane Chrome trace (compute / comm / dispatch / memory /
+// anomaly lanes in one file, stragglers marked), and a Prometheus text
+// snapshot.
 #ifndef MSMOE_SRC_OBS_STEP_PROFILER_H_
 #define MSMOE_SRC_OBS_STEP_PROFILER_H_
 
@@ -51,6 +54,7 @@
 
 #include "src/base/arena.h"
 #include "src/base/status.h"
+#include "src/comm/health.h"
 #include "src/comm/telemetry.h"
 #include "src/obs/anomaly.h"
 #include "src/obs/metrics.h"
@@ -67,7 +71,7 @@ struct StepProfilerConfig {
   // at construction with a short blocked-GEMM burst.
   double peak_flops_per_sec = 0.0;
   AnomalyConfig anomaly;
-  int world = 1;  // ranks expected per step (updatable via set_world)
+  int world = 1;  // live ranks sharing the GEMM/MFU split (see set_world)
   bool enabled = true;
 };
 
@@ -106,26 +110,27 @@ class StepProfiler {
 
   bool enabled() const { return config_.enabled; }
   int world() const;
-  // The trainer updates this after an elastic shrink so MFU attribution and
-  // the detector's cross-rank pass track the surviving world size.
+  // The trainer updates this after an elastic shrink so the GEMM/MFU split
+  // tracks the surviving world size.
   void set_world(int ranks);
 
   // Recovery bookkeeping (trainer calls these as events happen).
   void NoteRetry();
   void NoteEviction();
 
-  // Rank most recently named straggler by the detector's cross-rank pass
-  // (epoch-local rank), or -1. The trainer forwards this into
-  // Communicator::HintSuspect so the RecoveryPolicy eviction path can act
-  // on profiler evidence when a fault carries no attribution of its own.
+  // The straggler verdict the last Finish() computed from its telemetry
+  // (ranks are the final epoch's), and its worst flagged rank or -1. Both
+  // are empty / -1 before Finish. Reporting only: recovery never reads it.
+  StragglerReport straggler_report() const;
   int StragglerSuspect() const;
 
   std::vector<StepReport> reports() const;
   std::vector<AnomalyEvent> anomalies() const;
 
-  // Writes the configured artifacts. `telemetry` supplies the event streams
-  // for the merged trace (pass the final epoch's telemetry; nullptr skips
-  // the trace). Idempotent per call — later calls rewrite with more data.
+  // Computes the straggler verdict from `telemetry` and writes the
+  // configured artifacts. `telemetry` supplies the event streams for the
+  // verdict and the merged trace (pass the final epoch's telemetry; nullptr
+  // skips both). Idempotent per call — later calls rewrite with more data.
   Status Finish(const CommTelemetry* telemetry);
 
   double peak_flops_per_sec() const { return peak_flops_per_sec_; }
@@ -139,6 +144,8 @@ class StepProfiler {
   mutable std::mutex mu_;
   std::vector<StepReport> reports_;
   AnomalyDetector detector_;
+  int world_ = 1;
+  StragglerReport stragglers_;
   int64_t retries_ = 0;
   int64_t evictions_ = 0;
 

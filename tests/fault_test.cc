@@ -9,6 +9,7 @@
 //   3. corrupt checkpoints never load silently (v2 CRC + validation matrix).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -722,6 +723,51 @@ TEST(StragglerDetectorTest, TooFewCollectivesNeverFlags) {
   EXPECT_EQ(report.straggler_count(), 0);
 }
 
+TEST(StragglerDetectorTest, RotatingLagFlagsNobody) {
+  // Rank i % 4 enters collective i 4400 us late: every rank's mean lag is
+  // 1100 us, above the default 1000 us threshold, but no rank lags its
+  // peers — skew the whole group shares is not a straggler.
+  std::vector<CommEvent> events;
+  for (int i = 0; i < 8; ++i) {
+    for (int rank = 0; rank < 4; ++rank) {
+      CommEvent event;
+      event.rank = rank;
+      event.start_us = i * 10000.0 + (rank == i % 4 ? 4400.0 : 0.0);
+      events.push_back(event);
+    }
+  }
+  const StragglerReport report = DetectStragglers(events);
+  ASSERT_EQ(report.ranks.size(), 4u);
+  for (const RankHealth& health : report.ranks) {
+    EXPECT_DOUBLE_EQ(health.mean_entry_lag_us, 1100.0) << "rank " << health.rank;
+  }
+  EXPECT_EQ(report.straggler_count(), 0);
+}
+
+TEST(StragglerDetectorTest, MatchesOnlyTheRanksOwnEntries) {
+  // Every rank enters its collectives on time; rank 2's async-lane chunks
+  // (started by its comm proxy) start 5 ms after its peers'. Proxy starts
+  // are not rank entries, so rank 2 is healthy.
+  std::vector<CommEvent> events;
+  for (int i = 0; i < 6; ++i) {
+    for (int rank = 0; rank < 3; ++rank) {
+      CommEvent entry;
+      entry.rank = rank;
+      entry.start_us = i * 10000.0;
+      events.push_back(entry);
+      CommEvent chunk = entry;
+      chunk.async_lane = true;
+      chunk.start_us += 2000.0 + (rank == 2 ? 5000.0 : 0.0);
+      events.push_back(chunk);
+    }
+  }
+  const StragglerReport report = DetectStragglers(events);
+  ASSERT_EQ(report.ranks.size(), 3u);
+  EXPECT_EQ(report.collectives_matched, 6);
+  EXPECT_DOUBLE_EQ(report.ranks[2].mean_entry_lag_us, 0.0);
+  EXPECT_EQ(report.straggler_count(), 0);
+}
+
 TEST(StragglerDetectorTest, DetectsInjectedSlowRankOnLiveCommunicator) {
   std::unique_ptr<Communicator> comm = MakeCommunicator(CommBackend::kFlat, 3);
   FaultPlan plan(17);
@@ -1007,6 +1053,48 @@ TEST(TrainerRecoveryTest, BitFlipCaughtByChecksumGuardAndRecovered) {
   ASSERT_EQ(recovered.recoveries.size(), 1u);
   EXPECT_EQ(recovered.recoveries[0].failed_step, 4);
   EXPECT_EQ(recovered.recoveries[0].resumed_step, 3);
+  EXPECT_NE(recovered.recoveries[0].cause.find("checksum"), std::string::npos);
+  EXPECT_EQ(plan.bit_flips_fired(), 1);
+  ExpectBitIdenticalLoss(clean, recovered);
+}
+
+TEST(TrainerRecoveryTest, GuardAbortInTheLastStepRecoversOnEveryRank) {
+  // The checksum guard aborts after its exchange, so a peer may already
+  // have read OK. Mid-run the next step's collectives carry the abort to
+  // it; after the last step only TrainLm's exit barrier does. Without it
+  // the peer leaves the loop and the aborting rank waits in RecoveryBarrier
+  // forever.
+  NumericTrainConfig clean_config = SmallTrainConfig();
+  clean_config.guard_grad_checksum = true;
+  clean_config.capture_comm_events = true;
+  const TrainCurve clean = TrainLm(clean_config);
+  ASSERT_TRUE(clean.recoveries.empty());
+
+  // Rank 1's op index of the last step's guard exchange: flipping a bit of
+  // its receive buffer makes rank 1 alone see a mismatch.
+  std::vector<CommEvent> rank1;
+  for (const CommEvent& event : clean.comm_events) {
+    if (event.rank == 1) rank1.push_back(event);
+  }
+  std::sort(rank1.begin(), rank1.end(), [](const CommEvent& a, const CommEvent& b) {
+    return a.start_us < b.start_us;
+  });
+  int64_t last_guard = -1;
+  for (size_t i = 0; i < rank1.size(); ++i) {
+    if (rank1[i].op == CommOp::kExchangeScalars) last_guard = static_cast<int64_t>(i);
+  }
+  ASSERT_GE(last_guard, 0);
+
+  FaultPlan plan(4);
+  plan.AddBitFlip(/*rank=*/1, last_guard);
+  NumericTrainConfig faulty_config = clean_config;
+  faulty_config.capture_comm_events = false;
+  faulty_config.fault_plan = &plan;
+  const TrainCurve recovered = TrainLm(faulty_config);
+
+  ASSERT_EQ(recovered.recoveries.size(), 1u);
+  EXPECT_EQ(recovered.recoveries[0].failed_step, faulty_config.steps - 1);
+  EXPECT_EQ(recovered.recoveries[0].resumed_step, 8);
   EXPECT_NE(recovered.recoveries[0].cause.find("checksum"), std::string::npos);
   EXPECT_EQ(plan.bit_flips_fired(), 1);
   ExpectBitIdenticalLoss(clean, recovered);
