@@ -16,10 +16,11 @@
 //
 // This is the program's one straggler verdict: the trainer's elastic fault
 // attribution falls back to it for unattributed deadlines, and the obs
-// StepProfiler computes it once at Finish for the trace and its
-// StragglerSuspect(). Flags export into the same Chrome trace as the raw
-// events (src/sim/trace_export takes an optional StragglerReport), so a
-// flagged rank is visible right on the timeline it slowed down.
+// StepProfiler computes it once at Finish for the trace and to name the
+// rank behind its anomaly pages (StragglerSuspect()). Flags export into the
+// same Chrome trace as the raw events (src/sim/trace_export takes an
+// optional StragglerReport), so a flagged rank is visible right on the
+// timeline it slowed down.
 #ifndef MSMOE_SRC_COMM_HEALTH_H_
 #define MSMOE_SRC_COMM_HEALTH_H_
 

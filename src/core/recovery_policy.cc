@@ -35,6 +35,10 @@ Status ValidateRecoveryPolicyConfig(const RecoveryPolicyConfig& config) {
   return Status::Ok();
 }
 
+bool IsRollbackRepairable(const Status& status) {
+  return IsRetryableFault(status) || status.code() == StatusCode::kDataLoss;
+}
+
 RecoveryPolicy::RecoveryPolicy(const RecoveryPolicyConfig& config) : config_(config) {
   MSMOE_CHECK(ValidateRecoveryPolicyConfig(config).ok())
       << ValidateRecoveryPolicyConfig(config).ToString();
@@ -46,12 +50,7 @@ RecoveryDecision RecoveryPolicy::OnFailure(const Status& status, int suspect_ran
   decision.attempt = ++attempt_;
   decision.culprit_rank = suspect_rank;
 
-  // kDataLoss is rollback-repairable even though re-running the op is not
-  // (see header); everything else outside IsRetryableFault is a logic or
-  // config error that will fail identically on every attempt.
-  const bool recoverable =
-      IsRetryableFault(status) || status.code() == StatusCode::kDataLoss;
-  if (!recoverable) {
+  if (!IsRollbackRepairable(status)) {
     decision.verdict = FaultVerdict::kFatal;
     decision.reason = std::string("non-recoverable status code ") +
                       StatusCodeName(status.code());

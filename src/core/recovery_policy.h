@@ -61,6 +61,12 @@ struct RecoveryPolicyConfig {
 
 Status ValidateRecoveryPolicyConfig(const RecoveryPolicyConfig& config);
 
+// True when rolling back to the last snapshot and replaying can clear the
+// fault: a retryable code (IsRetryableFault) or kDataLoss (see above).
+// Every other code is a logic or config error that fails identically on
+// every attempt.
+bool IsRollbackRepairable(const Status& status);
+
 struct RecoveryDecision {
   FaultVerdict verdict = FaultVerdict::kFatal;
   // Sleep before retrying (kTransient only; 0 otherwise).

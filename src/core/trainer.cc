@@ -1,11 +1,14 @@
 #include "src/core/trainer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/base/arena.h"
 #include "src/base/logging.h"
@@ -200,6 +203,14 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
   if (config.profiler != nullptr) {
     config.profiler->set_world(dp);
   }
+  // Where each fault was raised, for RecoveryEvent::failed_step. Every rank
+  // publishes the step it is running (by global rank). The checksum guard's
+  // abort names no culprit, so a guard that aborts records its own step,
+  // indexed by the recovery it starts. Both are written before the abort
+  // that peers observe, and read only after observing it.
+  std::vector<std::atomic<int64_t>> rank_step(static_cast<size_t>(dp));
+  std::mutex guard_mu;
+  std::vector<int64_t> guard_raised_step;
 
   RunOnRanks(dp, [&](int rank) {
     // `rank` is this thread's GLOBAL (epoch-0) rank, fixed for its lifetime.
@@ -668,7 +679,8 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
     // bit-identical by construction, so any difference (a flipped payload
     // bit, a diverged update) is corruption; the first rank to see it
     // cancels the group.
-    auto checksum_guard = [&] {
+    int64_t recoveries_used = 0;
+    auto checksum_guard = [&](int64_t step) {
       double sum = 0.0;
       for (float value : flat) {
         sum += static_cast<double>(value);
@@ -679,6 +691,11 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       }
       for (int peer = 0; peer < dp_now; ++peer) {
         if (sums[static_cast<size_t>(peer)] != sum) {
+          {
+            std::lock_guard<std::mutex> lock(guard_mu);
+            guard_raised_step.resize(static_cast<size_t>(recoveries_used) + 1, -1);
+            guard_raised_step.back() = step;
+          }
           comm_now->Abort(DataLoss("replica checksum mismatch after step sync: rank " +
                                    std::to_string(my) + " disagrees with rank " +
                                    std::to_string(peer)));
@@ -691,9 +708,9 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
     // the SAME sticky error with the SAME suspect attribution, so the
     // replicas reach identical verdicts without any extra coordination.
     RecoveryPolicy policy(config.recovery_policy);
-    int64_t recoveries_used = 0;
     int64_t step = config.first_step;
     while (step < config.steps) {
+      rank_step[static_cast<size_t>(rank)].store(step, std::memory_order_release);
       if (config.restart_every > 0 && step > 0 && step % config.restart_every == 0 &&
           step != checkpoint_step) {
         // Checkpoint the current state, tear down, and restore — the Fig 19
@@ -717,7 +734,7 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       if (step_ran) {
         run_step(step, /*record=*/true);
         if (config.guard_grad_checksum && comm_now->GroupStatus().ok()) {
-          checksum_guard();
+          checksum_guard(step);
         }
       }
       Status status = comm_now->GroupStatus();
@@ -750,10 +767,30 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       // Non-elastic runs retry every rollback-repairable fault with no
       // backoff and no culprit; other codes are logic errors that would fail
       // identically on replay.
+      //
+      // The RecoveryEvent's failed_step is the step at which the fault was
+      // RAISED, which every rank reads the same: the step of the rank the
+      // abort names, else the step of the checksum guard that aborted, else
+      // (an unattributed deadline) this rank's own step. The named rank
+      // cannot move on before every rank has passed RecoveryBarrier, and an
+      // evicted one never does.
+      const int named = comm_now->SuspectRank();
+      int64_t failed_step = step;
+      if (named >= 0 && named < dp_now) {
+        failed_step = rank_step[static_cast<size_t>(
+                                    members_now[static_cast<size_t>(named)])]
+                          .load(std::memory_order_acquire);
+      } else {
+        std::lock_guard<std::mutex> lock(guard_mu);
+        const size_t index = static_cast<size_t>(recoveries_used);
+        if (index < guard_raised_step.size() && guard_raised_step[index] >= 0) {
+          failed_step = guard_raised_step[index];
+        }
+      }
       int culprit_global = -1;
       RecoveryDecision decision;
       if (config.elastic) {
-        int suspect = comm_now->SuspectRank();
+        int suspect = named;
         if (suspect < 0 && status.code() == StatusCode::kDeadlineExceeded) {
           suspect =
               WorstStragglerRank(DetectStragglers(comm_now->telemetry().Events()));
@@ -762,8 +799,7 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
           culprit_global = members_now[static_cast<size_t>(suspect)];
         }
         decision = policy.OnFailure(status, culprit_global);
-      } else if (IsRetryableFault(status) ||
-                 status.code() == StatusCode::kDataLoss) {
+      } else if (IsRollbackRepairable(status)) {
         decision.verdict = FaultVerdict::kTransient;
       } else {
         decision.reason = "non-recoverable status code";
@@ -788,9 +824,9 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
         restore_snapshot();
         if (my == 0) {
           RecoveryEvent event;
-          event.failed_step = step;
+          event.failed_step = failed_step;
           event.resumed_step = checkpoint_step;
-          event.steps_lost = step - checkpoint_step;
+          event.steps_lost = failed_step - checkpoint_step;
           event.cause = status.ToString();
           event.verdict = decision.verdict;
           event.culprit_rank = decision.culprit_rank;
@@ -875,9 +911,9 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
       }
       if (my == 0) {
         RecoveryEvent event;
-        event.failed_step = step;
+        event.failed_step = failed_step;
         event.resumed_step = checkpoint_step;
-        event.steps_lost = step - checkpoint_step;
+        event.steps_lost = failed_step - checkpoint_step;
         event.cause = status.ToString();
         event.verdict = decision.verdict;
         event.culprit_rank = culprit_global;

@@ -155,10 +155,11 @@ struct NumericTrainConfig {
 
 // One recovery incident: training failed at `failed_step`, rolled back to
 // the snapshot at `resumed_step`, and replayed the difference. failed_step
-// is the step at which rank 0 OBSERVED the failure — an abort raised by a
-// racing rank can surface one step before the faulty op itself (fault
-// observation is asynchronous, exactly as in a real job); recovery converges
-// identically either way.
+// is the step at which the fault was RAISED: the step of the rank the abort
+// names (a crash, a timed-out barrier's missing member) or of the checksum
+// guard that aborted. Peers may observe the abort one step earlier or later
+// (fault observation is asynchronous, exactly as in a real job), so only an
+// unattributed deadline fault falls back to the observing rank's step.
 struct RecoveryEvent {
   int64_t failed_step = 0;
   int64_t resumed_step = 0;

@@ -132,8 +132,8 @@ bool ParseStepReportJson(const std::string& line, StepReport* report) {
 
 StepProfiler::StepProfiler(StepProfilerConfig config)
     : config_(std::move(config)),
-      detector_(config_.anomaly),
-      world_(std::max(1, config_.world)) {
+      detector_(config_.anomaly) {
+  config_.world = std::max(1, config_.world);
   if (config_.enabled) {
     peak_flops_per_sec_ = config_.peak_flops_per_sec > 0.0
                               ? config_.peak_flops_per_sec
@@ -155,12 +155,12 @@ StepProfiler::StepProfiler(StepProfilerConfig config)
 
 int StepProfiler::world() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return world_;
+  return config_.world;
 }
 
 void StepProfiler::set_world(int ranks) {
   std::lock_guard<std::mutex> lock(mu_);
-  world_ = std::max(1, ranks);
+  config_.world = std::max(1, ranks);
 }
 
 void StepProfiler::NoteRetry() {
@@ -186,7 +186,7 @@ StragglerReport StepProfiler::straggler_report() const {
 
 int StepProfiler::StragglerSuspect() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return WorstStragglerRank(stragglers_);
+  return detector_.events().empty() ? -1 : WorstStragglerRank(stragglers_);
 }
 
 std::vector<StepReport> StepProfiler::reports() const {

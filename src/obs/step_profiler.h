@@ -71,7 +71,9 @@ struct StepProfilerConfig {
   // at construction with a short blocked-GEMM burst.
   double peak_flops_per_sec = 0.0;
   AnomalyConfig anomaly;
-  int world = 1;  // live ranks sharing the GEMM/MFU split (see set_world)
+  // Live ranks sharing the GEMM/MFU split; set_world updates it (under the
+  // profiler's lock) after an elastic shrink.
+  int world = 1;
   bool enabled = true;
 };
 
@@ -119,9 +121,14 @@ class StepProfiler {
   void NoteEviction();
 
   // The straggler verdict the last Finish() computed from its telemetry
-  // (ranks are the final epoch's), and its worst flagged rank or -1. Both
-  // are empty / -1 before Finish. Reporting only: recovery never reads it.
+  // (ranks are the final epoch's); empty before Finish. Reporting only:
+  // recovery never reads it.
   StragglerReport straggler_report() const;
+  // The rank the run's pages are attributed to: the verdict's worst flagged
+  // rank when the anomaly detector raised at least one event, else -1 (and
+  // -1 before Finish). A steady entry lag that never regressed a step is in
+  // straggler_report() but names no suspect: with one peer, a few percent
+  // of compute imbalance (a sanitizer build) is as late as a stall.
   int StragglerSuspect() const;
 
   std::vector<StepReport> reports() const;
@@ -144,7 +151,6 @@ class StepProfiler {
   mutable std::mutex mu_;
   std::vector<StepReport> reports_;
   AnomalyDetector detector_;
-  int world_ = 1;
   StragglerReport stragglers_;
   int64_t retries_ = 0;
   int64_t evictions_ = 0;

@@ -1018,12 +1018,11 @@ TEST(TrainerRecoveryTest, CrashRestoresFromFileCheckpointBitIdentically) {
   const TrainCurve recovered = TrainLm(faulty_config);
 
   ASSERT_EQ(recovered.recoveries.size(), 1u);
-  // The crash fires at step 6's reduce-scatter, but the abort can surface on
-  // rank 0's status check while it is still completing step 5 — failed_step
-  // reports the OBSERVATION step, so either is correct (recovery converges
-  // identically from the step-4 checkpoint both ways).
-  EXPECT_GE(recovered.recoveries[0].failed_step, 5);
-  EXPECT_LE(recovered.recoveries[0].failed_step, 6);
+  // The crash fires at step 6's reduce-scatter. The abort can surface on
+  // rank 0's status check while it is still completing step 5, but
+  // failed_step is the crashing rank's step, so it does not depend on when
+  // rank 0 looked.
+  EXPECT_EQ(recovered.recoveries[0].failed_step, 6);
   EXPECT_EQ(recovered.recoveries[0].resumed_step, 4);
   EXPECT_EQ(recovered.recoveries[0].steps_lost,
             recovered.recoveries[0].failed_step - 4);

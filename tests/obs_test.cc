@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -518,12 +517,8 @@ TEST(StepProfilerTrainerTest, ProfilerDoesNotChangeElasticRecovery) {
     const RecoveryEvent& b = profiled.recoveries[i];
     EXPECT_EQ(a.verdict, FaultVerdict::kTransient) << "recovery " << i;
     EXPECT_EQ(a.culprit_rank, -1) << "recovery " << i;
-    // failed_step is the step at which rank 0 OBSERVED the fault: the guard
-    // aborts after its exchange, so rank 0 may see it one step late, with or
-    // without a profiler (bare runs alone spread by one step; fault_test's
-    // crash recovery accepts either step too). The rollback target is exact.
+    EXPECT_EQ(b.failed_step, a.failed_step) << "recovery " << i;
     EXPECT_EQ(b.resumed_step, a.resumed_step) << "recovery " << i;
-    EXPECT_LE(std::abs(b.failed_step - a.failed_step), 1) << "recovery " << i;
     EXPECT_EQ(b.verdict, a.verdict) << "recovery " << i;
     EXPECT_EQ(b.culprit_rank, a.culprit_rank) << "recovery " << i;
     EXPECT_EQ(b.world_after, a.world_after) << "recovery " << i;
