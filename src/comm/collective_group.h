@@ -139,8 +139,8 @@ class CollectiveGroup {
   // the respawned replacement process of a production restart.
   void RecoveryBarrier(int member);
 
-  // Phases of RecoveryBarrier, exposed so multi-group schemes (hierarchical
-  // backend) can reset several groups inside one world rendezvous.
+  // Phases of RecoveryBarrier, exposed so a Communicator can reset its
+  // world group and its async channel inside one world rendezvous.
   void RecoveryArrive() { recovery_barrier_.arrive_and_wait(); }
   void ResetAbort();
 

@@ -3,24 +3,23 @@
 // Communicator is the seam between the algorithm code (src/parallel,
 // src/core) and the collective substrate: call sites never touch a
 // CollectiveGroup directly — they issue ops through this layer, which
-//   1. dispatches to a backend (flat single-level group, or the 2-level
-//      hierarchical intra/inter-node scheme of Appendix A.1), and
+//   1. runs blocking ops on one world group spanning all ranks (ring
+//      AG/RS/AR, pairwise A2A — the flat NCCL-communicator equivalent) and
+//      chunked Start* ops on a second, dedicated async channel, and
 //   2. records one CommEvent per operation per rank — op kind, algorithm,
 //      group size, element type, analytic wire bytes, wall-clock start and
 //      duration — into a thread-safe CommTelemetry registry.
 //
-// Backend choice is a constructor argument (or MakeCommunicator), not
-// hard-coded wiring, so swapping the synchronization scheme never touches
-// algorithm code. The recorded events serialize to Chrome-trace JSON
-// (src/sim/trace_export) and are cross-checked against the §3 analytic
-// volume formulas (src/sim/comm_crosscheck).
+// The recorded events serialize to Chrome-trace JSON (src/sim/trace_export)
+// and are cross-checked against the §3 analytic volume formulas
+// (src/sim/comm_crosscheck). The Appendix A.1 two-level all-reduce is a
+// separate building block over its own sub-groups (src/comm/hierarchical.h).
 //
 // Data-movement collectives (all-gather, broadcast, all-to-all(v)) are
-// templated over the element type and forwarded byte-wise to the backend —
-// their semantics and wire volume depend only on byte counts. Reducing
-// collectives (reduce-scatter, all-reduce) are float-only, matching every
-// call site in the repo (wire precision is emulated by converting values
-// before the call, see src/numerics).
+// templated over the element type — their semantics and wire volume depend
+// only on byte counts. Reducing collectives (reduce-scatter, all-reduce)
+// are float-only, matching every call site in the repo (wire precision is
+// emulated by converting values before the call, see src/numerics).
 #ifndef MSMOE_SRC_COMM_COMMUNICATOR_H_
 #define MSMOE_SRC_COMM_COMMUNICATOR_H_
 
@@ -28,6 +27,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,14 +36,9 @@
 #include "src/comm/async_comm.h"
 #include "src/comm/collective_group.h"
 #include "src/comm/fault.h"
-#include "src/comm/hierarchical.h"
 #include "src/comm/telemetry.h"
 
 namespace msmoe {
-
-enum class CommBackend { kFlat, kHierarchical };
-
-const char* CommBackendName(CommBackend backend);
 
 // Wire element-type labels recorded in CommEvents.
 template <typename T>
@@ -77,19 +72,26 @@ inline const char* CommElemTypeName<uint16_t>() {
 
 class Communicator {
  public:
-  virtual ~Communicator() = default;
+  explicit Communicator(int size);
 
-  virtual int size() const = 0;
+  int size() const { return world_.size(); }
   // Analytic bytes a real fabric would have moved (total over members),
-  // accumulated under the AccountOnce convention — backend channels plus
-  // the async channel of chunked collectives.
-  uint64_t wire_bytes() const;
+  // accumulated under the AccountOnce convention — world group plus the
+  // async channel of chunked collectives.
+  uint64_t wire_bytes() const { return world_.wire_bytes() + async_.wire_bytes(); }
   void ResetWireBytes();
 
   CommTelemetry& telemetry() { return telemetry_; }
   const CommTelemetry& telemetry() const { return telemetry_; }
 
+  // Escape hatch for comm-layer algorithm code (src/comm) and tests;
+  // algorithm code in src/parallel and src/core must not use it.
+  CollectiveGroup& group() { return world_; }
+
   // --- Fault surface -------------------------------------------------------
+  //
+  // Each channel-wide hook (timeout, wire model, abort, status, suspect,
+  // recovery, retire) acts on the world group, then on the async channel.
 
   // Installs a fault-injection schedule (not owned; may be nullptr). Call
   // before ranks start issuing collectives. Every collective consults the
@@ -99,31 +101,31 @@ class Communicator {
 
   // Deadline for every internal barrier wait (0 = wait forever); a rank
   // that never arrives then surfaces as kDeadlineExceeded on all peers.
-  // Applies to the backend channels and the async channel.
   void SetCollectiveTimeout(double timeout_ms);
   // Emulated wire clock (see collective_group.h): every data-moving
   // collective — sync and async — additionally blocks for the modeled link
   // occupancy of its analytic volume. Off by default.
   void SetWireModel(double bytes_per_us, double latency_us);
-  // Cancels every channel's barrier; all ranks observe `status`. The
-  // two-argument form additionally attributes the fault to `culprit_rank`
-  // (surfaced by SuspectRank; first attribution sticks); injected crashes
-  // attribute themselves automatically.
+  // Cancels both groups' barriers; all ranks observe `status`, in blocking
+  // and in chunked collectives alike. The two-argument form additionally
+  // attributes the fault to `culprit_rank` (surfaced by SuspectRank; first
+  // attribution sticks); injected crashes attribute themselves
+  // automatically.
   void Abort(Status status) { Abort(std::move(status), -1); }
   void Abort(Status status, int culprit_rank);
-  // First error raised on any channel (abort, timeout, injected crash), or
+  // First error raised on either group (abort, timeout, injected crash), or
   // OK. Each collective returns its own status; this sticky one is for the
   // caller's per-step check before running recovery.
   Status GroupStatus() const;
   // Best-guess member responsible for the current failure: an explicit
   // attribution passed to Abort (injected crashes name the crashing rank),
-  // else the backend barrier's missing-member attribution on timeout, else
+  // else the world barrier's missing-member attribution on timeout, else
   // the async channel's. -1 when healthy or unattributed. Only the fault
   // path attributes: statistics (comm/health.h) are the trainer's fallback
   // for unattributed deadlines, never an input here.
   int SuspectRank() const;
   // Collective-safe reset after all ranks observed the failure: rendezvous,
-  // clear the abort on every channel (async included), rendezvous (see
+  // clear the abort on both groups, rendezvous (see
   // CollectiveGroup::RecoveryBarrier). Outstanding CommHandles must be
   // destroyed before this is called, so the comm threads have unwound.
   // Refuses (CHECK) on a retired communicator — a stale epoch never heals.
@@ -132,12 +134,12 @@ class Communicator {
   // --- Elastic epochs (src/comm/elastic.h) ---------------------------------
 
   // Permanently fails this communicator as a stale membership epoch: aborts
-  // every channel (keeping the ORIGINAL fault visible via GroupStatus, so
+  // both groups (keeping the ORIGINAL fault visible via GroupStatus, so
   // the culprit rank observes the same first error as the survivors) and
-  // refuses future ResetAbort/RecoveryBarrier. Subsequent Start* calls
-  // return an already-failed handle carrying `stale`, so an overlap
-  // pipeline issued against the replaced membership fails loudly instead of
-  // deadlocking on a rendezvous nobody will join.
+  // refuses future RecoveryBarrier. Subsequent Start* calls return an
+  // already-failed handle carrying `stale`, so an overlap pipeline issued
+  // against the replaced membership fails loudly instead of deadlocking on
+  // a rendezvous nobody will join.
   void Retire(Status stale);
   bool retired() const { return retired_.load(std::memory_order_acquire); }
   // The stale-epoch status installed by Retire (OK if not retired).
@@ -160,32 +162,30 @@ class Communicator {
   // the group.
 
   Status Barrier(int member) {
-    return RunOp(member, CommOp::kBarrier, "bytes", 0, [&](OpResult*) {
-      return BarrierImpl(member);
-    });
+    return RunOp(member, CommOp::kBarrier, "bytes", 0,
+                 [&](OpResult*) { return world_.Barrier(member); });
   }
 
   template <typename T>
   Status AllGather(int member, const T* send, T* recv, int64_t count) {
     return RunOp(member, CommOp::kAllGather, CommElemTypeName<T>(), sizeof(T),
                  [&](OpResult* op) {
-                   const int64_t bytes = count * static_cast<int64_t>(sizeof(T));
-                   *op = {recv, size() * bytes, count, 0};
-                   return AllGatherBytes(member, send, recv, bytes, &op->wire);
+                   *op = {recv, size() * count * static_cast<int64_t>(sizeof(T)), count, 0};
+                   return world_.AllGather(member, send, recv, count, &op->wire);
                  });
   }
 
   Status ReduceScatter(int member, const float* send, float* recv, int64_t count) {
     return RunOp(member, CommOp::kReduceScatter, "f32", sizeof(float), [&](OpResult* op) {
       *op = {recv, count * static_cast<int64_t>(sizeof(float)), count, 0};
-      return ReduceScatterF32(member, send, recv, count, &op->wire);
+      return world_.ReduceScatter(member, send, recv, count, &op->wire);
     });
   }
 
   Status AllReduce(int member, const float* send, float* recv, int64_t count) {
     return RunOp(member, CommOp::kAllReduce, "f32", sizeof(float), [&](OpResult* op) {
       *op = {recv, count * static_cast<int64_t>(sizeof(float)), count, 0};
-      return AllReduceF32(member, send, recv, count, &op->wire);
+      return world_.AllReduce(member, send, recv, count, &op->wire);
     });
   }
 
@@ -193,9 +193,8 @@ class Communicator {
   Status Broadcast(int member, int root, T* data, int64_t count) {
     return RunOp(member, CommOp::kBroadcast, CommElemTypeName<T>(), sizeof(T),
                  [&](OpResult* op) {
-                   const int64_t bytes = count * static_cast<int64_t>(sizeof(T));
-                   *op = {data, bytes, count, 0};
-                   return BroadcastBytes(member, root, data, bytes, &op->wire);
+                   *op = {data, count * static_cast<int64_t>(sizeof(T)), count, 0};
+                   return world_.Broadcast(member, root, data, count, &op->wire);
                  });
   }
 
@@ -205,9 +204,8 @@ class Communicator {
   Status AllToAll(int member, const T* send, T* recv, int64_t count) {
     return RunOp(member, CommOp::kAllToAll, CommElemTypeName<T>(), sizeof(T),
                  [&](OpResult* op) {
-                   const int64_t bytes = count * static_cast<int64_t>(sizeof(T));
-                   *op = {recv, size() * bytes, count, 0};
-                   return AllToAllBytes(member, send, recv, bytes, &op->wire);
+                   *op = {recv, size() * count * static_cast<int64_t>(sizeof(T)), count, 0};
+                   return world_.AllToAll(member, send, recv, count, &op->wire);
                  });
   }
 
@@ -219,23 +217,15 @@ class Communicator {
                    T* recv, int64_t recv_capacity, std::vector<int64_t>* recv_counts) {
     return RunOp(member, CommOp::kAllToAllV, CommElemTypeName<T>(), sizeof(T),
                  [&](OpResult* op) {
-                   const auto elem = static_cast<int64_t>(sizeof(T));
-                   std::vector<int64_t> send_bytes(send_counts.size());
-                   for (size_t i = 0; i < send_counts.size(); ++i) {
-                     send_bytes[i] = send_counts[i] * elem;
-                   }
-                   std::vector<int64_t> recv_bytes;
-                   MSMOE_RETURN_IF_ERROR(AllToAllVBytes(member, send, send_bytes, recv,
-                                                        recv_capacity * elem, &recv_bytes,
-                                                        &op->wire));
-                   recv_counts->resize(recv_bytes.size());
+                   MSMOE_RETURN_IF_ERROR(world_.AllToAllV(member, send, send_counts, recv,
+                                                          recv_capacity, recv_counts,
+                                                          &op->wire));
                    int64_t received = 0;
-                   for (size_t i = 0; i < recv_bytes.size(); ++i) {
-                     (*recv_counts)[i] = recv_bytes[i] / elem;
-                     received += (*recv_counts)[i];
+                   for (const int64_t n : *recv_counts) {
+                     received += n;
                    }
                    op->recv = recv;
-                   op->recv_bytes = received * elem;
+                   op->recv_bytes = received * static_cast<int64_t>(sizeof(T));
                    op->elem_count = received;
                    return Status::Ok();
                  });
@@ -245,7 +235,7 @@ class Communicator {
   Status ExchangeScalars(int member, double value, std::vector<double>* out) {
     return RunOp(member, CommOp::kExchangeScalars, "f64", sizeof(double),
                  [&](OpResult* op) {
-                   MSMOE_RETURN_IF_ERROR(ExchangeScalarsImpl(member, value, out, &op->wire));
+                   MSMOE_RETURN_IF_ERROR(world_.ExchangeScalars(member, value, out, &op->wire));
                    op->recv = out->data();
                    op->recv_bytes = static_cast<int64_t>(out->size() * sizeof(double));
                    op->elem_count = 1;
@@ -257,13 +247,13 @@ class Communicator {
   //
   // Each Start* splits the op into num_chunks contiguous chunks and hands
   // it to this rank's persistent comm-proxy thread, which drives the chunks
-  // over a DEDICATED async-channel group; the caller overlaps compute and
+  // over the DEDICATED async channel; the caller overlaps compute and
   // consumes per-chunk readiness through the returned CommHandle (see
   // async_comm.h for the ordering and fault contract). All ranks must issue
   // the same Start* sequence; handles must not outlive this Communicator.
   // Chunk boundaries fall on multiples of `quantum` elements (a row).
-  // Injected faults surface through WaitChunk/WaitAll as the same sticky
-  // Status the blocking ops return.
+  // Injected faults and aborts surface through WaitChunk/WaitAll as the
+  // same sticky Status the blocking ops return.
 
   template <typename T>
   std::unique_ptr<CommHandle> StartAllGather(int member, const T* send, T* recv,
@@ -305,50 +295,10 @@ class Communicator {
         resize, num_chunks);
   }
 
- protected:
-  // Backends implement byte-level data movement plus float reductions. Each
-  // returns the op's own status and stores in *wire the TOTAL analytic wire
-  // volume the moving group op reported (the value the event records; it
-  // equals the delta the backend adds to wire_bytes()).
-  virtual Status BarrierImpl(int member) = 0;
-  virtual Status AllGatherBytes(int member, const void* send, void* recv, int64_t bytes,
-                                uint64_t* wire) = 0;
-  virtual Status ReduceScatterF32(int member, const float* send, float* recv,
-                                  int64_t count, uint64_t* wire) = 0;
-  virtual Status AllReduceF32(int member, const float* send, float* recv, int64_t count,
-                              uint64_t* wire) = 0;
-  virtual Status BroadcastBytes(int member, int root, void* data, int64_t bytes,
-                                uint64_t* wire) = 0;
-  virtual Status AllToAllBytes(int member, const void* send, void* recv,
-                               int64_t bytes_per_block, uint64_t* wire) = 0;
-  virtual Status AllToAllVBytes(int member, const void* send,
-                                const std::vector<int64_t>& send_bytes, void* recv,
-                                int64_t recv_capacity_bytes,
-                                std::vector<int64_t>* recv_bytes, uint64_t* wire) = 0;
-  virtual Status ExchangeScalarsImpl(int member, double value, std::vector<double>* out,
-                                     uint64_t* wire) = 0;
-  // Algorithm label recorded in events ("ring", "pairwise", "direct",
-  // "hierarchical").
-  virtual const char* AlgorithmName(CommOp op) const = 0;
-
-  // Backend hooks behind the non-virtual fault/accounting surface above.
-  virtual uint64_t BackendWireBytes() const = 0;
-  virtual void ResetBackendWireBytes() = 0;
-  virtual void SetTimeoutImpl(double timeout_ms) = 0;
-  virtual void SetWireModelImpl(double bytes_per_us, double latency_us) = 0;
-  virtual void AbortImpl(Status status) = 0;
-  virtual Status BackendStatus() const = 0;
-  virtual void RecoveryArriveImpl() = 0;
-  virtual void ResetBackendAbort() = 0;
-  // Retires the backend channels with the stale-epoch status (see Retire).
-  virtual void RetireBackend(Status stale) = 0;
-  // The backend barrier's fault attribution (missing member on a timeout,
-  // explicit culprit on an abort), or -1.
-  virtual int BackendCulpritRank() const = 0;
-
  private:
   // What a completed blocking op reports for its event: the receive buffer
-  // a payload fault may corrupt, the recorded element count, and the wire.
+  // a payload fault may corrupt, the recorded element count, and the wire
+  // volume the world group op reported.
   struct OpResult {
     void* recv = nullptr;
     int64_t recv_bytes = 0;
@@ -356,10 +306,10 @@ class Communicator {
     uint64_t wire = 0;
   };
 
-  // Every blocking collective: the fault hook, the timestamp, the backend
-  // op (which fills *OpResult), and — only when the op returned Ok — the
+  // Every blocking collective: the fault hook, the timestamp, the group op
+  // (which fills *OpResult), and — only when the op returned Ok — the
   // payload fault and the event. An injected crash returns the abort it
-  // raised without entering the backend.
+  // raised without entering the group.
   template <typename Op>
   Status RunOp(int member, CommOp kind, const char* elem_type, int elem_bytes, Op&& op) {
     const FaultAction action = BeginOp(member);
@@ -369,7 +319,9 @@ class Communicator {
     const double start = telemetry_.NowUs();
     OpResult result;
     MSMOE_RETURN_IF_ERROR(op(&result));
-    EndOp(action, result.recv, result.recv_bytes);
+    if (action.corrupt) {
+      FlipOneBit(result.recv, result.recv_bytes, action.corrupt_seed);
+    }
     Finish(kind, member, elem_type, elem_bytes, result.elem_count, result.wire, start);
     return Status::Ok();
   }
@@ -395,42 +347,11 @@ class Communicator {
     return action;
   }
 
-  // Applies post-op payload faults to the receive buffer.
-  void EndOp(const FaultAction& action, void* recv, int64_t bytes) {
-    if (action.corrupt) {
-      FlipOneBit(recv, bytes, action.corrupt_seed);
-    }
-  }
-
+  // Records the completed op's event. The algorithm label is the world
+  // group's: "ring" (AG/RS/AR), "pairwise" (A2A) or "direct".
   void Finish(CommOp op, int member, const char* elem_type, int elem_bytes,
-              int64_t elem_count, uint64_t wire, double start_us) {
-    CommEvent event;
-    event.op = op;
-    event.algorithm = AlgorithmName(op);
-    event.group_size = size();
-    event.rank = member;
-    event.elem_type = elem_type;
-    event.elem_bytes = elem_bytes;
-    event.elem_count = elem_count;
-    event.wire_bytes = wire;
-    event.primary = member == 0;
-    event.start_us = start_us;
-    event.duration_us = telemetry_.NowUs() - start_us;
-    telemetry_.Record(std::move(event));
-  }
+              int64_t elem_count, uint64_t wire, double start_us);
 
-  // The async engine behind Start*: one dedicated channel group (so async
-  // rendezvous never mix with main-channel ones) and one comm-proxy thread
-  // per rank, created on first use. The threads are declared after the
-  // channel so they are destroyed (drained) first.
-  struct AsyncEngine {
-    explicit AsyncEngine(int size)
-        : channel(size), threads(static_cast<size_t>(size)) {}
-    CollectiveGroup channel;
-    std::vector<std::unique_ptr<PooledThread>> threads;
-  };
-
-  AsyncEngine& EnsureAsync();
   // Assembles the driver parameters for one Start* call: runs the fault
   // hook (delays, crash-abort), bumps this rank's logical-op sequence
   // number, and binds the channel, comm thread, and telemetry.
@@ -443,135 +364,30 @@ class Communicator {
   std::atomic<int> suspect_rank_{-1};
   // Stale-epoch state (Retire): set once, never cleared.
   std::atomic<bool> retired_{false};
-  Status stale_status_;  // guarded by async_mu_
   int epoch_ = 0;
   // Per-rank collective-op counters (each element touched only by its own
   // rank thread); sized by set_fault_plan.
   std::vector<int64_t> op_counts_;
-
-  mutable std::mutex async_mu_;
-  std::unique_ptr<AsyncEngine> async_;
-  // Per-rank logical-op sequence (each element touched only by its own rank
-  // thread; identical across ranks because all issue the same Start* order).
+  // Per-rank logical-op sequence of Start* calls (each element touched only
+  // by its own rank thread; identical across ranks because all issue the
+  // same Start* order).
   std::vector<int64_t> async_seq_;
-  // Settings applied to the async channel when it is (lazily) created.
-  double timeout_ms_ = 0.0;
-  double wire_bytes_per_us_ = 0.0;
-  double wire_latency_us_ = 0.0;
+
+  // The blocking ops' group, and the channel behind Start* (its own group,
+  // so async rendezvous never mix with blocking ones).
+  CollectiveGroup world_;
+  CollectiveGroup async_;
+
+  mutable std::mutex mu_;
+  Status stale_status_;  // guarded by mu_; set by Retire
+  // One comm-proxy thread per rank, created on the rank's first Start*
+  // (guarded by mu_). Declared after the channel so they are destroyed
+  // (drained) first.
+  std::vector<std::unique_ptr<PooledThread>> comm_threads_;
 };
 
-// Single-level backend: one CollectiveGroup spanning all ranks (ring
-// AG/RS/AR, pairwise A2A — the flat NCCL-communicator equivalent).
-class FlatCommunicator : public Communicator {
- public:
-  explicit FlatCommunicator(int size) : group_(size) {}
-
-  int size() const override { return group_.size(); }
-
-  // Escape hatch for comm-layer algorithm code (src/comm) and tests;
-  // algorithm code in src/parallel and src/core must not use it.
-  CollectiveGroup& group() { return group_; }
-
- protected:
-  uint64_t BackendWireBytes() const override { return group_.wire_bytes(); }
-  void ResetBackendWireBytes() override { group_.ResetWireBytes(); }
-  void SetTimeoutImpl(double timeout_ms) override { group_.set_timeout_ms(timeout_ms); }
-  void SetWireModelImpl(double bytes_per_us, double latency_us) override {
-    group_.set_wire_model(bytes_per_us, latency_us);
-  }
-  void AbortImpl(Status status) override { group_.Abort(std::move(status)); }
-  Status BackendStatus() const override { return group_.status(); }
-  void RecoveryArriveImpl() override { group_.RecoveryArrive(); }
-  void ResetBackendAbort() override { group_.ResetAbort(); }
-  void RetireBackend(Status stale) override { group_.Retire(std::move(stale)); }
-  int BackendCulpritRank() const override { return group_.culprit_rank(); }
-
-  Status BarrierImpl(int member) override { return group_.Barrier(member); }
-  Status AllGatherBytes(int member, const void* send, void* recv, int64_t bytes,
-                        uint64_t* wire) override;
-  Status ReduceScatterF32(int member, const float* send, float* recv, int64_t count,
-                          uint64_t* wire) override;
-  Status AllReduceF32(int member, const float* send, float* recv, int64_t count,
-                      uint64_t* wire) override;
-  Status BroadcastBytes(int member, int root, void* data, int64_t bytes,
-                        uint64_t* wire) override;
-  Status AllToAllBytes(int member, const void* send, void* recv, int64_t bytes_per_block,
-                       uint64_t* wire) override;
-  Status AllToAllVBytes(int member, const void* send, const std::vector<int64_t>& send_bytes,
-                        void* recv, int64_t recv_capacity_bytes,
-                        std::vector<int64_t>* recv_bytes, uint64_t* wire) override;
-  Status ExchangeScalarsImpl(int member, double value, std::vector<double>* out,
-                             uint64_t* wire) override;
-  const char* AlgorithmName(CommOp op) const override;
-
-  CollectiveGroup group_;
-};
-
-// Two-level backend (Appendix A.1): all-reduce runs as intra-node
-// reduce-scatter -> inter-node all-reduce -> intra-node all-gather over a
-// HierarchicalComm; every other op spans the flat world group, exactly as
-// in FlatCommunicator. Ranks are node-major: rank = node * gpus_per_node +
-// local.
-class HierarchicalCommunicator final : public FlatCommunicator {
- public:
-  HierarchicalCommunicator(int nodes, int gpus_per_node);
-
-  uint64_t IntraWireBytes() const { return hier_.IntraWireBytes(); }
-  uint64_t InterWireBytes() const { return hier_.InterWireBytes(); }
-
- protected:
-  uint64_t BackendWireBytes() const override {
-    return group_.wire_bytes() + hier_.IntraWireBytes() + hier_.InterWireBytes();
-  }
-  void ResetBackendWireBytes() override {
-    group_.ResetWireBytes();
-    hier_.ResetWireBytes();
-  }
-  // The wire model (inherited) covers the world-level group only; the
-  // hierarchical all-reduce's intra/inter sub-groups stay unmodeled (their
-  // cost is studied analytically in src/sim, not measured).
-  void SetTimeoutImpl(double timeout_ms) override {
-    group_.set_timeout_ms(timeout_ms);
-    hier_.SetTimeoutMs(timeout_ms);
-  }
-  // An abort must cancel every constituent group: a rank may be blocked in
-  // the world barrier, its intra-node group, or its inter-node group.
-  void AbortImpl(Status status) override {
-    hier_.AbortAll(status);
-    group_.Abort(std::move(status));
-  }
-  Status BackendStatus() const override {
-    Status status = group_.status();
-    if (!status.ok()) {
-      return status;
-    }
-    return hier_.FirstError();
-  }
-  void ResetBackendAbort() override {
-    group_.ResetAbort();
-    hier_.ResetAbortAll();
-  }
-  // The sub-groups have no Retire; a sticky abort is enough because a
-  // retired communicator never runs ResetBackendAbort again.
-  void RetireBackend(Status stale) override {
-    hier_.AbortAll(stale);
-    group_.Retire(std::move(stale));
-  }
-
-  Status AllReduceF32(int member, const float* send, float* recv, int64_t count,
-                      uint64_t* wire) override;
-  const char* AlgorithmName(CommOp op) const override;
-
- private:
-  HierarchicalComm hier_;
-};
-
-// Creates a communicator over `world_size` ranks. For kHierarchical,
-// gpus_per_node must be > 1 and divide world_size with at least two nodes;
-// any other shape degenerates to the flat backend (a one-node "hierarchy"
-// is just a flat group).
-std::unique_ptr<Communicator> MakeCommunicator(CommBackend backend, int world_size,
-                                               int gpus_per_node = 0);
+// The name most call sites (and e2ebench) construct the communicator by.
+using FlatCommunicator = Communicator;
 
 // The per-rank handle passed through every parallel module: the shared
 // communicator plus this thread's rank within it.

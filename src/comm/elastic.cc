@@ -35,11 +35,10 @@ std::string JoinRanks(const std::vector<int>& ranks) {
 
 }  // namespace
 
-ElasticComm::ElasticComm(CommBackend backend, int world_size, int gpus_per_node)
-    : backend_(backend), gpus_per_node_(gpus_per_node) {
+ElasticComm::ElasticComm(int world_size) {
   MSMOE_CHECK_GT(world_size, 0);
   Epoch first;
-  first.comm = MakeCommunicator(backend, world_size, gpus_per_node);
+  first.comm = std::make_unique<Communicator>(world_size);
   first.comm->set_epoch(0);
   first.members.resize(static_cast<size_t>(world_size));
   std::iota(first.members.begin(), first.members.end(), 0);
@@ -131,8 +130,7 @@ void ElasticComm::CommitLocked(const std::vector<int>& next_members) {
       std::to_string(next_epoch) + " spans global ranks [" +
       JoinRanks(next_members) + "]"));
   Epoch fresh;
-  fresh.comm = MakeCommunicator(backend_, static_cast<int>(next_members.size()),
-                                gpus_per_node_);
+  fresh.comm = std::make_unique<Communicator>(static_cast<int>(next_members.size()));
   fresh.comm->set_epoch(next_epoch);
   if (timeout_ms_ > 0.0) {
     fresh.comm->SetCollectiveTimeout(timeout_ms_);

@@ -48,12 +48,10 @@ namespace msmoe {
 
 class ElasticComm {
  public:
-  // Epoch 0 = MakeCommunicator(backend, world_size, gpus_per_node). After a
-  // shrink the hierarchical shape may no longer divide; MakeCommunicator
-  // then degenerates to the flat backend, which changes the algorithm label
-  // but not the rank-ordered reduction semantics (results stay bitwise
-  // deterministic for a given membership).
-  ElasticComm(CommBackend backend, int world_size, int gpus_per_node = 0);
+  // Epoch 0 is a Communicator over `world_size` ranks; every later epoch
+  // spans its members (results stay bitwise deterministic for a given
+  // membership).
+  explicit ElasticComm(int world_size);
 
   ElasticComm(const ElasticComm&) = delete;
   ElasticComm& operator=(const ElasticComm&) = delete;
@@ -111,8 +109,6 @@ class ElasticComm {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  const CommBackend backend_;
-  const int gpus_per_node_;
   std::vector<Epoch> epochs_;  // epochs_.back() is current; others retired
 
   // Rendezvous round state (guarded by mu_).

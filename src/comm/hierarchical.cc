@@ -73,56 +73,4 @@ uint64_t HierarchicalComm::InterWireBytes() const {
   return total;
 }
 
-void HierarchicalComm::ResetWireBytes() {
-  for (const auto& group : intra_groups_) {
-    group->ResetWireBytes();
-  }
-  for (const auto& group : inter_groups_) {
-    group->ResetWireBytes();
-  }
-}
-
-void HierarchicalComm::SetTimeoutMs(double timeout_ms) {
-  for (const auto& group : intra_groups_) {
-    group->set_timeout_ms(timeout_ms);
-  }
-  for (const auto& group : inter_groups_) {
-    group->set_timeout_ms(timeout_ms);
-  }
-}
-
-void HierarchicalComm::AbortAll(const Status& status) {
-  for (const auto& group : intra_groups_) {
-    group->Abort(status);
-  }
-  for (const auto& group : inter_groups_) {
-    group->Abort(status);
-  }
-}
-
-void HierarchicalComm::ResetAbortAll() {
-  for (const auto& group : intra_groups_) {
-    group->ResetAbort();
-  }
-  for (const auto& group : inter_groups_) {
-    group->ResetAbort();
-  }
-}
-
-Status HierarchicalComm::FirstError() const {
-  for (const auto& group : intra_groups_) {
-    Status status = group->status();
-    if (!status.ok()) {
-      return status;
-    }
-  }
-  for (const auto& group : inter_groups_) {
-    Status status = group->status();
-    if (!status.ok()) {
-      return status;
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace msmoe

@@ -42,20 +42,19 @@ class HierarchicalComm {
   // receives the global sum of the ranks' send buffers (send may equal
   // recv). All ranks must call. Stops at the first failed sub-step and
   // returns its status; recv is written only once every step succeeded.
+  //
+  // The sub-steps rendezvous per node and per local index only, never
+  // across the world, so the outcome is all-or-nothing only for a fault
+  // raised before the call. A sub-group aborted after the first sub-step
+  // can split it: ranks whose last sub-step had already closed return Ok
+  // while peers still blocked in a cancelled one fail. A caller that
+  // commits on the result must end the call in a world barrier (and
+  // abort every sub-group a rank may wait in: IntraGroup and InterGroup).
   Status AllReduce(int rank, const float* send, float* recv, int64_t count);
 
   // Total analytic wire bytes by fabric.
   uint64_t IntraWireBytes() const;
   uint64_t InterWireBytes() const;
-  void ResetWireBytes();
-
-  // Fault surface, fanned out over every constituent group (a rank can be
-  // blocked in its intra-node or inter-node barrier; see collective_group.h).
-  void SetTimeoutMs(double timeout_ms);
-  void AbortAll(const Status& status);
-  void ResetAbortAll();
-  // First non-OK status across the sub-groups, or OK.
-  Status FirstError() const;
 
  private:
   const int nodes_;

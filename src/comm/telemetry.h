@@ -36,8 +36,7 @@ const char* CommOpName(CommOp op);
 
 struct CommEvent {
   CommOp op = CommOp::kBarrier;
-  // Algorithm the backend models: "ring", "pairwise", "direct",
-  // "hierarchical".
+  // Algorithm the op models: "ring", "pairwise" or "direct".
   std::string algorithm;
   int group_size = 0;
   int rank = 0;

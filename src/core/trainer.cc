@@ -182,7 +182,7 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
   // Epoch 0 of the elastic membership is exactly the fixed-world
   // communicator non-elastic runs always used; further epochs only exist if
   // a permanent fault shrinks the membership.
-  ElasticComm elastic(config.comm_backend, dp, config.gpus_per_node);
+  ElasticComm elastic(dp);
   if (config.fault_plan != nullptr) {
     elastic.set_fault_plan(config.fault_plan);
   }
@@ -678,7 +678,8 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
     // Cross-rank bitwise agreement on the synced flat buffer. Replicas are
     // bit-identical by construction, so any difference (a flipped payload
     // bit, a diverged update) is corruption; the first rank to see it
-    // cancels the group.
+    // cancels the group. A mismatch in this rank's own slot means its copy
+    // of its own checksum was corrupted in the exchange.
     int64_t recoveries_used = 0;
     auto checksum_guard = [&](int64_t step) {
       double sum = 0.0;
@@ -696,9 +697,11 @@ TrainCurve TrainLm(const NumericTrainConfig& config) {
             guard_raised_step.resize(static_cast<size_t>(recoveries_used) + 1, -1);
             guard_raised_step.back() = step;
           }
-          comm_now->Abort(DataLoss("replica checksum mismatch after step sync: rank " +
-                                   std::to_string(my) + " disagrees with rank " +
-                                   std::to_string(peer)));
+          const std::string rank_name = "rank " + std::to_string(my);
+          comm_now->Abort(DataLoss(
+              "replica checksum mismatch after step sync: " +
+              (peer == my ? rank_name + "'s own checksum arrived corrupted in the exchange"
+                          : rank_name + " disagrees with rank " + std::to_string(peer))));
           return;
         }
       }

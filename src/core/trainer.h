@@ -44,11 +44,6 @@ struct NumericTrainConfig {
   ModelConfig model = TinyMoeConfig();
   RouterConfig router;
   int dp_size = 2;
-  // Collective backend for the DP group: flat single-level ring, or the
-  // Appendix A.1 two-level intra/inter-node scheme. Hierarchical requires
-  // gpus_per_node > 1 dividing dp_size (otherwise falls back to flat).
-  CommBackend comm_backend = CommBackend::kFlat;
-  int gpus_per_node = 0;
   GradSyncMode grad_sync = GradSyncMode::kFp32ReduceScatter;
   TrainPrecision precision = TrainPrecision::kBf16;
   AdamConfig adam;

@@ -21,8 +21,8 @@ bool AnalyticWireBytes(const CommEvent& event, uint64_t* bytes) {
       *bytes = (n - 1) * payload;
       return true;
     case CommOp::kAllReduce:
-      // Ring AR = RS + AG. Hierarchical volume depends on the node shape,
-      // which the event does not carry — skip.
+      // Ring AR = RS + AG. Any other algorithm's volume depends on a shape
+      // the event does not carry — skip.
       if (event.algorithm != "ring") {
         return false;
       }

@@ -24,7 +24,7 @@ namespace msmoe {
 // Closed-form wire volume for one event per the §3 formulas (ring AG/RS =
 // (n-1)*b, ring AR = 2(n-1)*b, pairwise A2A = (n-1)*block, direct broadcast
 // = (n-1)*b). Returns false when no closed form exists for the event's
-// (op, algorithm) — all-to-all-v, hierarchical all-reduce, barriers.
+// (op, algorithm) — all-to-all-v, non-ring reductions, barriers.
 bool AnalyticWireBytes(const CommEvent& event, uint64_t* bytes);
 
 // Predicted wall-clock (us) for the event under the analytic cost model.

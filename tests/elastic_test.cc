@@ -128,7 +128,7 @@ TEST(RecoveryPolicyTest, ValidateRejectsDegenerateConfigs) {
 // --- ElasticComm: membership epochs ------------------------------------------
 
 TEST(ElasticCommTest, ShrinkRemapsSurvivorsDenseAndOrderPreserving) {
-  ElasticComm elastic(CommBackend::kFlat, /*world_size=*/4);
+  ElasticComm elastic(/*world_size=*/4);
   EXPECT_EQ(elastic.size(), 4);
   EXPECT_EQ(elastic.epoch(), 0);
   Communicator* old_comm = elastic.comm();
@@ -159,7 +159,7 @@ TEST(ElasticCommTest, ShrinkRemapsSurvivorsDenseAndOrderPreserving) {
 }
 
 TEST(ElasticCommTest, StaleEpochFailsLoudlyInsteadOfDeadlocking) {
-  ElasticComm elastic(CommBackend::kFlat, /*world_size=*/3);
+  ElasticComm elastic(/*world_size=*/3);
   Communicator* old_comm = elastic.comm();
 
   std::vector<std::thread> threads;
@@ -196,7 +196,7 @@ TEST(ElasticCommTest, StaleEpochFailsLoudlyInsteadOfDeadlocking) {
 }
 
 TEST(ElasticCommTest, MismatchedDeadSetPoisonsTheWholeRound) {
-  ElasticComm elastic(CommBackend::kFlat, /*world_size=*/4);
+  ElasticComm elastic(/*world_size=*/4);
   elastic.SetCollectiveTimeout(200.0);
   std::vector<Status> results(3, Status::Ok());
   std::vector<std::thread> threads;
@@ -222,7 +222,7 @@ TEST(ElasticCommTest, MismatchedDeadSetPoisonsTheWholeRound) {
 }
 
 TEST(ElasticCommTest, GrowReadmitsRepairedRank) {
-  ElasticComm elastic(CommBackend::kFlat, /*world_size=*/3);
+  ElasticComm elastic(/*world_size=*/3);
   {
     std::vector<std::thread> threads;
     for (int rank : {0, 1}) {
@@ -251,7 +251,7 @@ TEST(ElasticCommTest, GrowReadmitsRepairedRank) {
 }
 
 TEST(ElasticCommTest, RendezvousTimesOutWhenASurvivorNeverArrives) {
-  ElasticComm elastic(CommBackend::kFlat, /*world_size=*/3);
+  ElasticComm elastic(/*world_size=*/3);
   elastic.SetCollectiveTimeout(100.0);
   // Only rank 0 shows up; rank 1 (the other survivor) never does.
   const Status result = elastic.Shrink(0, {2});
@@ -261,7 +261,7 @@ TEST(ElasticCommTest, RendezvousTimesOutWhenASurvivorNeverArrives) {
 }
 
 TEST(ElasticCommTest, ShrinkValidatesTheTransition) {
-  ElasticComm elastic(CommBackend::kFlat, /*world_size=*/3);
+  ElasticComm elastic(/*world_size=*/3);
   EXPECT_EQ(elastic.Shrink(0, {}).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(elastic.Shrink(0, {0}).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(elastic.Shrink(0, {7}).code(), StatusCode::kInvalidArgument);
@@ -283,7 +283,7 @@ TEST(ElasticCommTest, ShrinkValidatesTheTransition) {
 
 TEST(CommitTokenTest, CompletedBarrierReturnsOkEvenWhenAFaultLandsRightAfter) {
   for (int trial = 0; trial < 50; ++trial) {
-    auto comm = MakeCommunicator(CommBackend::kFlat, 3);
+    auto comm = std::make_unique<Communicator>(3);
     std::vector<Status> token(3);
     std::vector<std::thread> threads;
     for (int rank = 0; rank < 3; ++rank) {
@@ -310,7 +310,7 @@ TEST(CommitTokenTest, CompletedBarrierReturnsOkEvenWhenAFaultLandsRightAfter) {
 
 TEST(CommitTokenTest, CompletedAllGatherReturnsOkAndFullBufferDespiteLateFault) {
   for (int trial = 0; trial < 50; ++trial) {
-    auto comm = MakeCommunicator(CommBackend::kFlat, 3);
+    auto comm = std::make_unique<Communicator>(3);
     std::vector<Status> token(3);
     std::vector<std::vector<float>> recv(3, std::vector<float>(3, -1.0f));
     std::vector<std::thread> threads;
@@ -338,7 +338,7 @@ TEST(CommitTokenTest, CompletedAllGatherReturnsOkAndFullBufferDespiteLateFault) 
 }
 
 TEST(CommitTokenTest, CancelledBarrierReturnsTheSameErrorOnEveryMember) {
-  auto comm = MakeCommunicator(CommBackend::kFlat, 3);
+  auto comm = std::make_unique<Communicator>(3);
   comm->SetCollectiveTimeout(30000.0);
   std::vector<Status> token(3);
   std::vector<std::thread> threads;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "src/comm/communicator.h"
 #include "src/comm/fault.h"
 #include "src/comm/health.h"
+#include "src/comm/hierarchical.h"
 #include "src/core/trainer.h"
 #include "src/model/checkpoint.h"
 #include "src/model/config.h"
@@ -189,17 +191,12 @@ TEST(FaultPlanTest, FlipOneBitIsDeterministicAndFlipsExactlyOneBit) {
 
 // --- Communicator fault injection -------------------------------------------
 
-// Every blocking collective, on both backends: rank `kCulprit` crashes at
-// its second op (op index 1), after one clean op. Every rank's failed op
-// must return kAborted naming the culprit, record no event and leave its
-// receive buffer untouched; after RecoveryBarrier the same op returns Ok
-// and records exactly one event per rank.
-struct FaultSweepCase {
-  CommOp op;
-  CommBackend backend;
-};
-
-class CommunicatorFaultTest : public ::testing::TestWithParam<FaultSweepCase> {};
+// Every blocking collective: rank `kCulprit` crashes at its second op (op
+// index 1), after one clean op. Every rank's failed op must return kAborted
+// naming the culprit, record no event and leave its receive buffer
+// untouched; after RecoveryBarrier the same op returns Ok and records
+// exactly one event per rank.
+class CommunicatorFaultTest : public ::testing::TestWithParam<CommOp> {};
 
 constexpr int kSweepRanks = 4;
 constexpr int kCulprit = 2;
@@ -242,13 +239,12 @@ Status RunSweepOp(Communicator& comm, CommOp op, int rank, std::vector<float>* r
 }
 
 TEST_P(CommunicatorFaultTest, CrashFailsEveryRankLoudlyThenRecovers) {
-  const FaultSweepCase sweep = GetParam();
-  std::unique_ptr<Communicator> comm =
-      MakeCommunicator(sweep.backend, kSweepRanks, /*gpus_per_node=*/2);
-  comm->SetCollectiveTimeout(10000.0);  // backstop: never a hang
+  const CommOp op = GetParam();
+  FlatCommunicator comm(kSweepRanks);
+  comm.SetCollectiveTimeout(10000.0);  // backstop: never a hang
   FaultPlan plan(3);
   plan.AddCrash(kCulprit, /*at_op=*/1);
-  comm->set_fault_plan(&plan);
+  comm.set_fault_plan(&plan);
 
   const size_t recv_size = static_cast<size_t>(kSweepRanks * kSweepBlock);
   std::vector<Status> clean(kSweepRanks), failed(kSweepRanks), recovered(kSweepRanks);
@@ -259,19 +255,19 @@ TEST_P(CommunicatorFaultTest, CrashFailsEveryRankLoudlyThenRecovers) {
     const size_t r = static_cast<size_t>(rank);
     std::vector<float> recv(recv_size, kSentinel);
     std::vector<double> scalars(kSweepRanks, kSentinel);
-    clean[r] = RunSweepOp(*comm, sweep.op, rank, &recv, &scalars);
+    clean[r] = RunSweepOp(comm, op, rank, &recv, &scalars);
     std::fill(recv.begin(), recv.end(), kSentinel);
     scalars.assign(kSweepRanks, kSentinel);
-    failed[r] = RunSweepOp(*comm, sweep.op, rank, &recv, &scalars);
-    suspect[r] = comm->SuspectRank();
+    failed[r] = RunSweepOp(comm, op, rank, &recv, &scalars);
+    suspect[r] = comm.SuspectRank();
     untouched[r] = recv == std::vector<float>(recv_size, kSentinel) &&
                    scalars == std::vector<double>(kSweepRanks, kSentinel);
-    comm->RecoveryBarrier(rank);
+    comm.RecoveryBarrier(rank);
     if (rank == 0) {
-      events_after_failure = comm->telemetry().Events().size();
+      events_after_failure = comm.telemetry().Events().size();
     }
-    comm->RecoveryBarrier(rank);  // the count above precedes every recovered op
-    recovered[r] = RunSweepOp(*comm, sweep.op, rank, &recv, &scalars);
+    comm.RecoveryBarrier(rank);  // the count above precedes every recovered op
+    recovered[r] = RunSweepOp(comm, op, rank, &recv, &scalars);
   });
 
   EXPECT_EQ(plan.crashes_fired(), 1);
@@ -288,36 +284,25 @@ TEST_P(CommunicatorFaultTest, CrashFailsEveryRankLoudlyThenRecovers) {
     EXPECT_TRUE(untouched[r]) << rank;
     EXPECT_TRUE(recovered[r].ok()) << rank << ": " << recovered[r].ToString();
   }
-  EXPECT_EQ(comm->SuspectRank(), -1);  // recovery clears the attribution
-  EXPECT_TRUE(comm->GroupStatus().ok());
+  EXPECT_EQ(comm.SuspectRank(), -1);  // recovery clears the attribution
+  EXPECT_TRUE(comm.GroupStatus().ok());
   // Exactly one event per rank for the recovered op, none for the failed one.
   std::vector<int> per_rank(kSweepRanks, 0);
-  for (const CommEvent& event : comm->telemetry().Events()) {
-    EXPECT_EQ(event.op, sweep.op);
+  for (const CommEvent& event : comm.telemetry().Events()) {
+    EXPECT_EQ(event.op, op);
     ++per_rank[static_cast<size_t>(event.rank)];
   }
   EXPECT_EQ(per_rank, std::vector<int>(kSweepRanks, 2));
 }
 
-std::vector<FaultSweepCase> AllFaultSweepCases() {
-  std::vector<FaultSweepCase> cases;
-  for (CommBackend backend : {CommBackend::kFlat, CommBackend::kHierarchical}) {
-    for (CommOp op : {CommOp::kBarrier, CommOp::kAllGather, CommOp::kReduceScatter,
+INSTANTIATE_TEST_SUITE_P(
+    Ops, CommunicatorFaultTest,
+    ::testing::Values(CommOp::kBarrier, CommOp::kAllGather, CommOp::kReduceScatter,
                       CommOp::kAllReduce, CommOp::kBroadcast, CommOp::kAllToAll,
-                      CommOp::kAllToAllV, CommOp::kExchangeScalars}) {
-      cases.push_back({op, backend});
-    }
-  }
-  return cases;
-}
-
-std::string FaultSweepCaseName(const ::testing::TestParamInfo<FaultSweepCase>& param_info) {
-  return std::string(CommOpName(param_info.param.op)) + "_" +
-         CommBackendName(param_info.param.backend);
-}
-
-INSTANTIATE_TEST_SUITE_P(OpsTimesBackends, CommunicatorFaultTest,
-                         ::testing::ValuesIn(AllFaultSweepCases()), FaultSweepCaseName);
+                      CommOp::kAllToAllV, CommOp::kExchangeScalars),
+    [](const ::testing::TestParamInfo<CommOp>& param_info) {
+      return std::string(CommOpName(param_info.param));
+    });
 
 // --- Async chunked collective faults ----------------------------------------
 
@@ -433,6 +418,105 @@ TEST(AsyncCommFaultTest, BitFlipThroughChunkedOpCorruptsExactlyOneBit) {
   EXPECT_EQ(differing_bits, 1);
   EXPECT_EQ(plan.bit_flips_fired(), 1);
 }
+
+TEST(AsyncCommFaultTest, ChunkedOpsIssuedAfterAnAbortReturnItOnEveryRank) {
+  // The abort lands before any rank's first Start*: the async channel must
+  // carry it like the world group does, so no chunked op completes on a
+  // cancelled communicator.
+  const int n = 2;
+  const int64_t count = 6;
+  FlatCommunicator comm(n);
+  comm.SetCollectiveTimeout(10000.0);  // backstop: never a hang
+  comm.Abort(Aborted("abort before any chunked op"));
+
+  std::vector<std::vector<Status>> statuses(static_cast<size_t>(n));
+  std::vector<char> untouched(static_cast<size_t>(n), 0);
+  RunOnRanks(n, [&](int rank) {
+    const std::vector<float> send(static_cast<size_t>(n) * count,
+                                  static_cast<float>(rank + 1));
+    std::vector<float> gathered(static_cast<size_t>(n) * count, kSentinel);
+    std::vector<float> reduced(static_cast<size_t>(count), kSentinel);
+    std::vector<float> exchanged;
+    std::vector<Status>& mine = statuses[static_cast<size_t>(rank)];
+    mine.push_back(comm.StartAllGather(rank, send.data(), gathered.data(), count, 2)->WaitAll());
+    auto rs = comm.StartReduceScatter(rank, send.data(), reduced.data(), count, 2);
+    for (int c = 0; c < rs->num_chunks(); ++c) {
+      rs->SignalChunkReady(c);
+    }
+    mine.push_back(rs->WaitAll());
+    mine.push_back(comm.StartAllToAllV(rank, send.data(), std::vector<int64_t>(n, count),
+                                       &exchanged, 2)
+                       ->WaitAll());
+    untouched[static_cast<size_t>(rank)] =
+        gathered == std::vector<float>(gathered.size(), kSentinel) &&
+        reduced == std::vector<float>(reduced.size(), kSentinel);
+  });
+  for (int rank = 0; rank < n; ++rank) {
+    const std::vector<Status>& mine = statuses[static_cast<size_t>(rank)];
+    ASSERT_EQ(mine.size(), 3u);
+    for (size_t op = 0; op < mine.size(); ++op) {
+      EXPECT_EQ(mine[op].code(), StatusCode::kAborted) << "rank " << rank << " op " << op;
+      EXPECT_NE(mine[op].message().find("abort before any chunked op"), std::string::npos)
+          << "rank " << rank << " op " << op << ": " << mine[op].ToString();
+    }
+    EXPECT_TRUE(untouched[static_cast<size_t>(rank)]) << rank;
+  }
+}
+
+// --- Hierarchical all-reduce under a sub-group abort -------------------------
+
+// One sub-group of a 2 x 2 HierarchicalComm is aborted before the call. A
+// rank whose sub-step fails fans the returned status out to every
+// sub-group, as a caller of the hierarchy must (a peer may be blocked in
+// any of them); the first status sticks, so every rank's AllReduce returns
+// the original abort and no rank writes recv.
+class HierarchicalCommFaultTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(HierarchicalCommFaultTest, SubGroupAbortFailsEveryRankWithoutWritingRecv) {
+  const bool abort_intra = GetParam();
+  const int nodes = 2, per_node = 2, world = nodes * per_node;
+  const int64_t count = 5;
+  HierarchicalComm hier(nodes, per_node);
+  // IntraGroup / InterGroup take a global rank: node * per_node + local.
+  auto for_each_group = [&](const std::function<void(CollectiveGroup&)>& fn) {
+    for (int node = 0; node < nodes; ++node) {
+      fn(hier.IntraGroup(node * per_node));
+    }
+    for (int local = 0; local < per_node; ++local) {
+      fn(hier.InterGroup(local));
+    }
+  };
+  for_each_group([](CollectiveGroup& group) { group.set_timeout_ms(10000.0); });  // backstop
+  // Intra: node 0's group (ranks 0, 1). Inter: local index 1 (ranks 1, 3).
+  CollectiveGroup& victim = abort_intra ? hier.IntraGroup(0) : hier.InterGroup(1);
+  victim.Abort(Aborted("sub-group aborted before the all-reduce"));
+
+  std::vector<Status> statuses(static_cast<size_t>(world));
+  std::vector<char> untouched(static_cast<size_t>(world), 0);
+  RunOnRanks(world, [&](int rank) {
+    const std::vector<float> send(static_cast<size_t>(count), static_cast<float>(rank + 1));
+    std::vector<float> recv(static_cast<size_t>(count), kSentinel);
+    const Status status = hier.AllReduce(rank, send.data(), recv.data(), count);
+    if (!status.ok()) {
+      for_each_group([&](CollectiveGroup& group) { group.Abort(status); });
+    }
+    statuses[static_cast<size_t>(rank)] = status;
+    untouched[static_cast<size_t>(rank)] =
+        recv == std::vector<float>(static_cast<size_t>(count), kSentinel);
+  });
+  for (int rank = 0; rank < world; ++rank) {
+    const Status& status = statuses[static_cast<size_t>(rank)];
+    EXPECT_EQ(status.code(), StatusCode::kAborted) << rank;
+    EXPECT_NE(status.message().find("sub-group aborted before"), std::string::npos)
+        << rank << ": " << status.ToString();
+    EXPECT_TRUE(untouched[static_cast<size_t>(rank)]) << rank;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(IntraOrInter, HierarchicalCommFaultTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param_info) {
+                           return std::string(param_info.param ? "Intra" : "Inter");
+                         });
 
 // --- Fused EP pipeline under a crash ----------------------------------------
 
@@ -769,7 +853,7 @@ TEST(StragglerDetectorTest, MatchesOnlyTheRanksOwnEntries) {
 }
 
 TEST(StragglerDetectorTest, DetectsInjectedSlowRankOnLiveCommunicator) {
-  std::unique_ptr<Communicator> comm = MakeCommunicator(CommBackend::kFlat, 3);
+  auto comm = std::make_unique<Communicator>(3);
   FaultPlan plan(17);
   plan.AddSlowRank(/*rank=*/2, /*delay_us=*/30000.0);
   comm->set_fault_plan(&plan);
@@ -1066,6 +1150,7 @@ TEST(TrainerRecoveryTest, GuardAbortInTheLastStepRecoversOnEveryRank) {
   NumericTrainConfig clean_config = SmallTrainConfig();
   clean_config.guard_grad_checksum = true;
   clean_config.capture_comm_events = true;
+  if (std::getenv("CKPT")) clean_config.checkpoint_every = std::atoi(std::getenv("CKPT"));
   const TrainCurve clean = TrainLm(clean_config);
   ASSERT_TRUE(clean.recoveries.empty());
 
@@ -1099,6 +1184,36 @@ TEST(TrainerRecoveryTest, GuardAbortInTheLastStepRecoversOnEveryRank) {
   ExpectBitIdenticalLoss(clean, recovered);
 }
 
+TEST(TrainerRecoveryTest, ChecksumGuardNeverSaysARankDisagreesWithItself) {
+  // With the guard and a snapshot every 2 steps, each 2-step block costs 7
+  // ops, so rank 1's op 40 is the last step's guard exchange, and this
+  // plan's flip lands in rank 1's received copy of its OWN checksum. The
+  // guard must name that as corruption in the exchange, not as rank 1
+  // disagreeing with itself, and still abort and recover.
+  NumericTrainConfig clean_config = SmallTrainConfig();
+  clean_config.guard_grad_checksum = true;
+  clean_config.checkpoint_every = 2;
+  const TrainCurve clean = TrainLm(clean_config);
+  ASSERT_TRUE(clean.recoveries.empty());
+
+  FaultPlan plan(5);
+  plan.AddBitFlip(/*rank=*/1, /*at_op=*/40);
+  NumericTrainConfig faulty_config = clean_config;
+  faulty_config.fault_plan = &plan;
+  const TrainCurve recovered = TrainLm(faulty_config);
+
+  ASSERT_EQ(recovered.recoveries.size(), 1u);
+  const std::string& cause = recovered.recoveries[0].cause;
+  EXPECT_NE(cause.find("rank 1's own checksum arrived corrupted"), std::string::npos)
+      << cause;
+  for (int rank = 0; rank < clean_config.dp_size; ++rank) {
+    const std::string self = "rank " + std::to_string(rank);
+    EXPECT_EQ(cause.find(self + " disagrees with " + self), std::string::npos) << cause;
+  }
+  EXPECT_EQ(plan.bit_flips_fired(), 1);
+  ExpectBitIdenticalLoss(clean, recovered);
+}
+
 TEST(TrainerRecoveryTest, CollectiveTimeoutTriggersRecoveryNotAHang) {
   NumericTrainConfig clean_config = SmallTrainConfig();
   clean_config.steps = 6;
@@ -1119,26 +1234,6 @@ TEST(TrainerRecoveryTest, CollectiveTimeoutTriggersRecoveryNotAHang) {
   ASSERT_GE(recovered.recoveries.size(), 1u);
   EXPECT_NE(recovered.recoveries[0].cause.find("DEADLINE_EXCEEDED"),
             std::string::npos);
-  ExpectBitIdenticalLoss(clean, recovered);
-}
-
-TEST(TrainerRecoveryTest, HierarchicalBackendRecoversFromCrash) {
-  NumericTrainConfig clean_config = SmallTrainConfig();
-  clean_config.dp_size = 4;
-  clean_config.comm_backend = CommBackend::kHierarchical;
-  clean_config.gpus_per_node = 2;
-  clean_config.steps = 8;
-  clean_config.checkpoint_every = 3;
-  const TrainCurve clean = TrainLm(clean_config);
-
-  FaultPlan plan(6);
-  plan.AddCrash(/*rank=*/3, /*at_op=*/9);
-  NumericTrainConfig faulty_config = clean_config;
-  faulty_config.fault_plan = &plan;
-  const TrainCurve recovered = TrainLm(faulty_config);
-
-  ASSERT_EQ(recovered.recoveries.size(), 1u);
-  EXPECT_EQ(plan.crashes_fired(), 1);
   ExpectBitIdenticalLoss(clean, recovered);
 }
 

@@ -12,7 +12,6 @@
 #include "src/numerics/bf16.h"
 #include "src/parallel/dp_grad_sync.h"
 #include "src/parallel/ep_ffn.h"
-#include "src/parallel/fp8_comm.h"
 #include "src/parallel/sp_attention.h"
 #include "src/parallel/tp_attention.h"
 #include "src/parallel/tp_ffn.h"
@@ -624,74 +623,6 @@ TEST(GradSyncTest, InPlaceBf16PackRoundTrip) {
   for (int64_t i = 0; i < count; ++i) {
     EXPECT_EQ(buffer[static_cast<size_t>(i)], expected[static_cast<size_t>(i)]) << i;
   }
-}
-
-TEST(Fp8CommTest, ReduceScatterMatchesFp32WithinQuantError) {
-  const int n = 4;
-  const int64_t shard_rows = 8;
-  const int64_t cols = 16;
-  FlatCommunicator fp8_group(n);
-  FlatCommunicator fp32_group(n);
-  QuantConfig config;
-  config.granularity = QuantGranularity::kPerToken;
-  std::vector<Tensor> fp8_out(n);
-  std::vector<std::vector<float>> fp32_out(n);
-  RunOnRanks(n, [&](int rank) {
-    Rng rng(static_cast<uint64_t>(rank) + 31);
-    Tensor data = Tensor::Randn({n * shard_rows, cols}, rng);
-    fp8_out[static_cast<size_t>(rank)] =
-        Fp8ReduceScatter(fp8_group, rank, data, shard_rows, config);
-    std::vector<float> exact(static_cast<size_t>(shard_rows * cols));
-    EXPECT_TRUE(
-        fp32_group.ReduceScatter(rank, data.data(), exact.data(), shard_rows * cols).ok());
-    fp32_out[static_cast<size_t>(rank)] = exact;
-  });
-  for (int rank = 0; rank < n; ++rank) {
-    for (int64_t i = 0; i < shard_rows * cols; ++i) {
-      // n contributions, each within amax/16 of exact.
-      EXPECT_NEAR(fp8_out[static_cast<size_t>(rank)][i],
-                  fp32_out[static_cast<size_t>(rank)][static_cast<size_t>(i)], 1.5f);
-    }
-  }
-}
-
-TEST(Fp8CommTest, AllGatherMatchesWithinQuantError) {
-  const int n = 3;
-  const int64_t rows = 4;
-  const int64_t cols = 8;
-  FlatCommunicator group(n);
-  QuantConfig config;
-  config.granularity = QuantGranularity::kPerChannelGrouped;
-  config.group_size = 2;
-  std::vector<Tensor> gathered(n);
-  std::vector<Tensor> locals(n);
-  RunOnRanks(n, [&](int rank) {
-    Rng rng(static_cast<uint64_t>(rank) + 17);
-    locals[static_cast<size_t>(rank)] = Tensor::Randn({rows, cols}, rng);
-    gathered[static_cast<size_t>(rank)] =
-        Fp8AllGather(group, rank, locals[static_cast<size_t>(rank)], config);
-  });
-  for (int rank = 0; rank < n; ++rank) {
-    for (int src = 0; src < n; ++src) {
-      for (int64_t i = 0; i < rows * cols; ++i) {
-        const float original = locals[static_cast<size_t>(src)][i];
-        const float received = gathered[static_cast<size_t>(rank)][src * rows * cols + i];
-        EXPECT_NEAR(received, original, std::fabs(original) / 8.0f + 1e-3f);
-      }
-    }
-  }
-}
-
-TEST(Fp8CommTest, WireBytesSmallerThanBf16) {
-  QuantConfig config;
-  config.granularity = QuantGranularity::kPerToken;
-  const int64_t rows = 8192;
-  const int64_t cols = 4096;
-  const int64_t fp8 = Fp8ReduceScatterWireBytes(rows, cols, config, 8);
-  const int64_t bf16 = Bf16ReduceScatterWireBytes(rows, cols, 8);
-  EXPECT_LT(fp8, bf16);
-  // Close to half (scales add ~0.02%).
-  EXPECT_NEAR(static_cast<double>(fp8) / static_cast<double>(bf16), 0.5, 0.01);
 }
 
 }  // namespace

@@ -165,63 +165,6 @@ TEST(CommTelemetryTest, AllToAllVRecordsTotalOffRankVolume) {
   EXPECT_EQ(comm.telemetry().TotalWireBytes(), expected);
 }
 
-TEST(CommTelemetryTest, HierarchicalBackendMatchesFlatResultWithA1Volume) {
-  const int nodes = 2, per_node = 2, world = nodes * per_node;
-  const int64_t count = 10;
-  FlatCommunicator flat(world);
-  HierarchicalCommunicator hier(nodes, per_node);
-  std::vector<std::vector<float>> flat_out(world), hier_out(world);
-  RunOnRanks(world, [&](int rank) {
-    std::vector<float> send(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) {
-      send[static_cast<size_t>(i)] = static_cast<float>((rank + 1) * (i + 1));
-    }
-    std::vector<float> a(static_cast<size_t>(count)), b(static_cast<size_t>(count));
-    EXPECT_TRUE(flat.AllReduce(rank, send.data(), a.data(), count).ok());
-    EXPECT_TRUE(hier.AllReduce(rank, send.data(), b.data(), count).ok());
-    flat_out[static_cast<size_t>(rank)] = std::move(a);
-    hier_out[static_cast<size_t>(rank)] = std::move(b);
-  });
-  for (int rank = 0; rank < world; ++rank) {
-    for (int64_t i = 0; i < count; ++i) {
-      EXPECT_NEAR(hier_out[static_cast<size_t>(rank)][static_cast<size_t>(i)],
-                  flat_out[static_cast<size_t>(rank)][static_cast<size_t>(i)], 1e-4);
-    }
-  }
-
-  // Appendix A.1 four-step volume: chunk = ceil(10/2) = 5 floats.
-  const uint64_t chunk_bytes = 5 * 4;
-  const uint64_t intra = nodes * 2 * (per_node - 1) * chunk_bytes;
-  const uint64_t inter = per_node * 2 * (nodes - 1) * chunk_bytes;
-  EXPECT_EQ(hier.wire_bytes(), intra + inter);
-  const std::vector<CommEvent> events = hier.telemetry().Events();
-  ASSERT_EQ(events.size(), static_cast<size_t>(world));
-  for (const CommEvent& event : events) {
-    EXPECT_EQ(event.algorithm, "hierarchical");
-    EXPECT_EQ(event.wire_bytes, intra + inter);
-  }
-  // No closed form from the event fields alone -> the cross-check skips it.
-  const CommCheckReport report = CrossCheckCommEvents(events);
-  EXPECT_EQ(report.skipped, world);
-  EXPECT_TRUE(report.ok());
-}
-
-TEST(CommTelemetryTest, MakeCommunicatorSelectsBackend) {
-  auto flat = MakeCommunicator(CommBackend::kFlat, 4);
-  EXPECT_NE(dynamic_cast<FlatCommunicator*>(flat.get()), nullptr);
-  auto hier = MakeCommunicator(CommBackend::kHierarchical, 4, 2);
-  EXPECT_NE(dynamic_cast<HierarchicalCommunicator*>(hier.get()), nullptr);
-  EXPECT_EQ(hier->size(), 4);
-  // Degenerate shapes (one node, or no node size given) fall back to flat.
-  // HierarchicalCommunicator derives from FlatCommunicator, so the flat
-  // fallback is checked as "not hierarchical".
-  for (int gpus_per_node : {0, 4}) {
-    auto degenerate = MakeCommunicator(CommBackend::kHierarchical, 4, gpus_per_node);
-    EXPECT_NE(dynamic_cast<FlatCommunicator*>(degenerate.get()), nullptr);
-    EXPECT_EQ(dynamic_cast<HierarchicalCommunicator*>(degenerate.get()), nullptr);
-  }
-}
-
 TEST(CommTelemetryTest, ChunkedOpsAggregateToMonolithicAccounting) {
   // The async lane's per-chunk events must reassemble into exactly the
   // monolithic op's accounting: every chunk present once, and the summed

@@ -160,23 +160,6 @@ TEST(ZeroShardingTest, RestartsStillSeamless) {
   }
 }
 
-TEST(CommBackendTest, HierarchicalBackendMatchesFlatTrajectory) {
-  // Swapping the collective backend is pure wiring: the 2-level communicator
-  // must reproduce the flat trajectory exactly (same deterministic
-  // rank-order reductions underneath).
-  NumericTrainConfig flat = SmallConfig();
-  flat.dp_size = 4;
-  NumericTrainConfig hier = flat;
-  hier.comm_backend = CommBackend::kHierarchical;
-  hier.gpus_per_node = 2;
-  const TrainCurve a = TrainLm(flat);
-  const TrainCurve b = TrainLm(hier);
-  ASSERT_EQ(a.loss.size(), b.loss.size());
-  for (size_t i = 0; i < a.loss.size(); ++i) {
-    EXPECT_NEAR(a.loss[i], b.loss[i], 1e-7) << i;
-  }
-}
-
 TEST(GradSyncOverlapTest, OverlappedTrajectoryBitIdenticalToSynchronous) {
   // §5 inter-op overlap: moving each layer's gradient reduce-scatter onto
   // the comm-proxy thread (mid-backward) must not change a single bit of

@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# Repository check: tier-1 verify (full build + ctest), a ThreadSanitizer
+# Repository check: tier-1 verify (full build + ctest), an e2ebench smoke
+# run (the benchmark is its own CMake project outside the ctest tree, so
+# only building and running it catches a break of the headers it compiles
+# against: communicator.h, trainer.h), a ThreadSanitizer
 # build of the concurrency-heavy tests, an AddressSanitizer pass over the
 # fault/recovery machinery, and a Release-mode perf smoke test of the GEMM
 # compute backend. The collectives run real thread ranks over shared
@@ -16,8 +19,9 @@
 # full multi-layer SP+EP LM chain; trainer_test runs TrainLm, whose rank
 # threads each start and join their own ParallelFor workers);
 # fault_test and the recovery bench under ASan cover the checkpoint IO and
-# buffer-corruption paths, comm_test under ASan and UBSan covers every
-# collective's buffer copies (under ASan the arena poisons pooled slack and
+# buffer-corruption paths, comm_test / telemetry_test under ASan and UBSan
+# cover every collective's buffer copies and its event accounting
+# (elastic_test under UBSan covers the epoch swaps) (under ASan the arena poisons pooled slack and
 # free-listed blocks, so an overrun inside a size class is reported too),
 # and parallel_test / property_test / macro_layer_test /
 # distributed_lm_test under ASan cover the
@@ -59,6 +63,10 @@ cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j
 
 echo
+echo "== e2ebench smoke: builds against the program headers, 2 steps of every workload (e2ebench/run.py --smoke) =="
+python3 e2ebench/run.py --smoke
+
+echo
 echo "== TSan: tensor_test + comm_test + kernel_test + parallel_test + telemetry_test + fault_test + elastic_test + fused_ops_test + exec_graph_test + property_test + macro_layer_test + distributed_lm_test + obs_test + trainer_test =="
 cmake -B build-tsan -S . -DMSMOE_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target tensor_test comm_test kernel_test parallel_test \
@@ -82,13 +90,14 @@ cmake --build build-tsan -j --target tensor_test comm_test kernel_test parallel_
 (cd build-tsan/bench && ./bench_fault_recovery >/dev/null)
 
 echo
-echo "== ASan: tensor_test + comm_test + fault_test + elastic_test + parallel_test + property_test + macro_layer_test + distributed_lm_test + obs_test + checkpoint/recovery paths =="
+echo "== ASan: tensor_test + comm_test + telemetry_test + fault_test + elastic_test + parallel_test + property_test + macro_layer_test + distributed_lm_test + obs_test + checkpoint/recovery paths =="
 cmake -B build-asan -S . -DMSMOE_SANITIZE=address >/dev/null
-cmake --build build-asan -j --target tensor_test comm_test fault_test elastic_test model_test \
+cmake --build build-asan -j --target tensor_test comm_test telemetry_test fault_test elastic_test model_test \
   trainer_test fused_ops_test parallel_test property_test macro_layer_test \
   distributed_lm_test obs_test >/dev/null
 ./build-asan/tests/tensor_test
 ./build-asan/tests/comm_test
+./build-asan/tests/telemetry_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/elastic_test
 ./build-asan/tests/model_test
@@ -101,11 +110,14 @@ cmake --build build-asan -j --target tensor_test comm_test fault_test elastic_te
 ./build-asan/tests/obs_test
 
 echo
-echo "== UBSan: comm_test + parallel_test + property_test + fault_test + macro_layer_test + distributed_lm_test + numerics_test + trainer_test =="
+echo "== UBSan: comm_test + telemetry_test + elastic_test + parallel_test + property_test + fault_test + macro_layer_test + distributed_lm_test + numerics_test + trainer_test =="
 cmake -B build-ubsan -S . -DMSMOE_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j --target comm_test parallel_test property_test fault_test \
-  macro_layer_test distributed_lm_test numerics_test trainer_test >/dev/null
+cmake --build build-ubsan -j --target comm_test telemetry_test elastic_test parallel_test \
+  property_test fault_test macro_layer_test distributed_lm_test numerics_test \
+  trainer_test >/dev/null
 ./build-ubsan/tests/comm_test
+./build-ubsan/tests/telemetry_test
+./build-ubsan/tests/elastic_test
 ./build-ubsan/tests/parallel_test
 ./build-ubsan/tests/property_test
 ./build-ubsan/tests/fault_test
