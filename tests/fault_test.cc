@@ -449,7 +449,7 @@ TEST(AsyncCommFaultTest, ChunkedOpsIssuedAfterAnAbortReturnItOnEveryRank) {
                        ->WaitAll());
     untouched[static_cast<size_t>(rank)] =
         gathered == std::vector<float>(gathered.size(), kSentinel) &&
-        reduced == std::vector<float>(reduced.size(), kSentinel);
+        reduced == std::vector<float>(reduced.size(), kSentinel) && exchanged.empty();
   });
   for (int rank = 0; rank < n; ++rank) {
     const std::vector<Status>& mine = statuses[static_cast<size_t>(rank)];
@@ -1150,7 +1150,6 @@ TEST(TrainerRecoveryTest, GuardAbortInTheLastStepRecoversOnEveryRank) {
   NumericTrainConfig clean_config = SmallTrainConfig();
   clean_config.guard_grad_checksum = true;
   clean_config.capture_comm_events = true;
-  if (std::getenv("CKPT")) clean_config.checkpoint_every = std::atoi(std::getenv("CKPT"));
   const TrainCurve clean = TrainLm(clean_config);
   ASSERT_TRUE(clean.recoveries.empty());
 
@@ -1169,49 +1168,34 @@ TEST(TrainerRecoveryTest, GuardAbortInTheLastStepRecoversOnEveryRank) {
   }
   ASSERT_GE(last_guard, 0);
 
-  FaultPlan plan(4);
-  plan.AddBitFlip(/*rank=*/1, last_guard);
-  NumericTrainConfig faulty_config = clean_config;
-  faulty_config.capture_comm_events = false;
-  faulty_config.fault_plan = &plan;
-  const TrainCurve recovered = TrainLm(faulty_config);
+  // The plan seed picks the flipped bit: seed 4 lands in rank 1's copy of
+  // its OWN checksum, seed 5 in rank 1's copy of rank 0's. The
+  // guard must name the latter as corruption in the exchange, never as a
+  // rank disagreeing with itself, and still abort and recover.
+  struct Case {
+    uint64_t seed;
+    const char* expected_cause;
+  };
+  for (const Case& c : {Case{4, "rank 1's own checksum arrived corrupted"},
+                        Case{5, "rank 1 disagrees with rank 0"}}) {
+    SCOPED_TRACE("plan seed " + std::to_string(c.seed));
+    FaultPlan plan(c.seed);
+    plan.AddBitFlip(/*rank=*/1, last_guard);
+    NumericTrainConfig faulty_config = clean_config;
+    faulty_config.capture_comm_events = false;
+    faulty_config.fault_plan = &plan;
+    const TrainCurve recovered = TrainLm(faulty_config);
 
-  ASSERT_EQ(recovered.recoveries.size(), 1u);
-  EXPECT_EQ(recovered.recoveries[0].failed_step, faulty_config.steps - 1);
-  EXPECT_EQ(recovered.recoveries[0].resumed_step, 8);
-  EXPECT_NE(recovered.recoveries[0].cause.find("checksum"), std::string::npos);
-  EXPECT_EQ(plan.bit_flips_fired(), 1);
-  ExpectBitIdenticalLoss(clean, recovered);
-}
-
-TEST(TrainerRecoveryTest, ChecksumGuardNeverSaysARankDisagreesWithItself) {
-  // With the guard and a snapshot every 2 steps, each 2-step block costs 7
-  // ops, so rank 1's op 40 is the last step's guard exchange, and this
-  // plan's flip lands in rank 1's received copy of its OWN checksum. The
-  // guard must name that as corruption in the exchange, not as rank 1
-  // disagreeing with itself, and still abort and recover.
-  NumericTrainConfig clean_config = SmallTrainConfig();
-  clean_config.guard_grad_checksum = true;
-  clean_config.checkpoint_every = 2;
-  const TrainCurve clean = TrainLm(clean_config);
-  ASSERT_TRUE(clean.recoveries.empty());
-
-  FaultPlan plan(5);
-  plan.AddBitFlip(/*rank=*/1, /*at_op=*/40);
-  NumericTrainConfig faulty_config = clean_config;
-  faulty_config.fault_plan = &plan;
-  const TrainCurve recovered = TrainLm(faulty_config);
-
-  ASSERT_EQ(recovered.recoveries.size(), 1u);
-  const std::string& cause = recovered.recoveries[0].cause;
-  EXPECT_NE(cause.find("rank 1's own checksum arrived corrupted"), std::string::npos)
-      << cause;
-  for (int rank = 0; rank < clean_config.dp_size; ++rank) {
-    const std::string self = "rank " + std::to_string(rank);
-    EXPECT_EQ(cause.find(self + " disagrees with " + self), std::string::npos) << cause;
+    ASSERT_EQ(recovered.recoveries.size(), 1u);
+    EXPECT_EQ(recovered.recoveries[0].failed_step, faulty_config.steps - 1);
+    EXPECT_EQ(recovered.recoveries[0].resumed_step, 8);
+    const std::string& cause = recovered.recoveries[0].cause;
+    EXPECT_NE(cause.find("checksum"), std::string::npos) << cause;
+    EXPECT_NE(cause.find(c.expected_cause), std::string::npos) << cause;
+    EXPECT_EQ(cause.find("rank 1 disagrees with rank 1"), std::string::npos) << cause;
+    EXPECT_EQ(plan.bit_flips_fired(), 1);
+    ExpectBitIdenticalLoss(clean, recovered);
   }
-  EXPECT_EQ(plan.bit_flips_fired(), 1);
-  ExpectBitIdenticalLoss(clean, recovered);
 }
 
 TEST(TrainerRecoveryTest, CollectiveTimeoutTriggersRecoveryNotAHang) {
